@@ -45,9 +45,10 @@
 // Observability rides the same run: per-filter false-accept rates are
 // computed from the metrics registry's funnel counters against banded-DP
 // ground truth, a gate proves the always-on instrumentation costs <= 2%
-// on the hot FilterBatch path (registry enabled vs disabled,
-// interleaved), and the full registry snapshot — funnel plus p99 stage
-// latencies — is embedded in BENCH_pipeline.json.
+// on the hot FilterBatch path (registry enabled vs disabled, legs of
+// >= 250 ms interleaved batch by batch, median of per-rep ratios), and
+// the full registry snapshot — funnel plus p99 stage latencies — is
+// embedded in BENCH_pipeline.json.
 //
 // Scale with GKGPU_PAIRS (default 200,000), GKGPU_GENOME, GKGPU_READS.
 #include <algorithm>
@@ -195,51 +196,81 @@ std::uint64_t RegistryAccepts(const char* filter) {
 }
 
 struct OverheadResult {
-  double enabled_s = 0.0;
-  double disabled_s = 0.0;
-  /// Clamped at zero: with min-of-reps on both legs a negative delta is
-  /// pure measurement noise (the enabled leg cannot be faster), and
-  /// reporting it as negative overhead only destabilizes trend plots.
-  double overhead_pct() const {
-    return disabled_s > 0.0
-               ? std::max(0.0,
-                          (enabled_s - disabled_s) / disabled_s * 100.0)
-               : 0.0;
-  }
+  int reps = 0;
+  std::size_t batches_per_leg = 0;
+  double enabled_s = 0.0;   // median leg, registry enabled
+  double disabled_s = 0.0;  // median leg, registry disabled
+  double ratio = 1.0;       // median of the per-rep enabled/disabled ratios
+  double ratio_lo = 1.0;    // smallest and largest per-rep ratio
+  double ratio_hi = 1.0;
+  /// Clamped at zero: a negative median is measurement noise (the enabled
+  /// leg cannot be faster), and reporting it as negative overhead only
+  /// destabilizes trend plots.
+  double overhead_pct() const { return std::max(0.0, (ratio - 1.0) * 100.0); }
 };
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
 /// The always-on-cheap gate: the hot host filtration path timed with the
-/// metrics registry enabled vs disabled, interleaved so both sides see
-/// the same thermal/scheduler conditions, min-of-reps each after an
-/// untimed warmup pass of both legs (cold caches and lazy counter
-/// resolution otherwise land on whichever leg runs first).
+/// metrics registry enabled vs disabled.  One FilterBatch takes a few
+/// milliseconds, too short a window to resolve a 2% difference, so each
+/// leg of a rep repeats it until the leg adds up to at least
+/// kMinLegSeconds.  The host's speed drifts over seconds, so the two legs
+/// are interleaved batch by batch (alternating which goes first) and both
+/// sample the same conditions; the gate reads the median of the per-rep
+/// enabled/disabled ratios.
 OverheadResult RunMetricsOverheadBench(const PreAlignmentFilter& filter,
                                        const Dataset& data, int length,
                                        int e, int reps) {
+  constexpr double kMinLegSeconds = 0.25;
   const std::size_t n = data.size();
   PairBlockStorage block(length);
   for (std::size_t i = 0; i < n; ++i) {
     block.Add(data.reads[i], data.refs[i]);
   }
   std::vector<PairResult> results(n);
+  const PairBlock view = block.view();
+  const auto timed_batch = [&](bool enabled) {
+    obs::SetEnabled(enabled);
+    WallTimer t;
+    filter.FilterBatch(view, e, results.data());
+    return t.Seconds();
+  };
+
+  // Warm both legs up (cold caches and lazy counter resolution otherwise
+  // land on whichever leg runs first); the disabled warmup also sizes the
+  // legs: as many batches as fill kMinLegSeconds.
+  timed_batch(true);
   OverheadResult r;
-  obs::SetEnabled(true);
-  filter.FilterBatch(block.view(), e, results.data());
-  obs::SetEnabled(false);
-  filter.FilterBatch(block.view(), e, results.data());
+  r.reps = reps;
+  for (double warm_s = 0.0; warm_s < kMinLegSeconds; ++r.batches_per_leg) {
+    warm_s += timed_batch(false);
+  }
+
+  std::vector<double> on_s, off_s, ratios;
   for (int rep = 0; rep < reps; ++rep) {
-    obs::SetEnabled(true);
-    WallTimer on;
-    filter.FilterBatch(block.view(), e, results.data());
-    const double on_s = on.Seconds();
-    obs::SetEnabled(false);
-    WallTimer off;
-    filter.FilterBatch(block.view(), e, results.data());
-    const double off_s = off.Seconds();
-    r.enabled_s = rep == 0 ? on_s : std::min(r.enabled_s, on_s);
-    r.disabled_s = rep == 0 ? off_s : std::min(r.disabled_s, off_s);
+    double on = 0.0;
+    double off = 0.0;
+    for (std::size_t k = 0; k < r.batches_per_leg; ++k) {
+      const bool on_first = (k + static_cast<std::size_t>(rep)) % 2 == 0;
+      if (on_first) on += timed_batch(true);
+      off += timed_batch(false);
+      if (!on_first) on += timed_batch(true);
+    }
+    on_s.push_back(on);
+    off_s.push_back(off);
+    ratios.push_back(on / off);
   }
   obs::SetEnabled(true);
+  r.enabled_s = Median(on_s);
+  r.disabled_s = Median(off_s);
+  r.ratio = Median(ratios);
+  r.ratio_lo = *std::min_element(ratios.begin(), ratios.end());
+  r.ratio_hi = *std::max_element(ratios.begin(), ratios.end());
   return r;
 }
 
@@ -629,13 +660,16 @@ int main() {
 
   // --- metrics overhead: the always-on-cheap gate ----------------------
   const OverheadResult obs_run = RunMetricsOverheadBench(
-      gk_filter, data, length, e, std::max(reps, 5));
+      gk_filter, data, length, e, std::max(reps, 11));
   const bool obs_ok = obs_run.overhead_pct() <= 2.0;
   std::printf(
       "\n=== metrics overhead (FilterBatch, registry on vs off) ===\n"
-      "enabled: %.4f s   disabled: %.4f s   overhead %.2f%% %s 2%%\n",
-      obs_run.enabled_s, obs_run.disabled_s, obs_run.overhead_pct(),
-      obs_ok ? "<=" : "ABOVE");
+      "%d reps of %zu batches per leg (median leg) enabled: %.4f s   "
+      "disabled: %.4f s\n"
+      "median per-rep overhead %.2f%% %s 2%% (per-rep %+.2f%% .. %+.2f%%)\n",
+      obs_run.reps, obs_run.batches_per_leg, obs_run.enabled_s,
+      obs_run.disabled_s, obs_run.overhead_pct(), obs_ok ? "<=" : "ABOVE",
+      (obs_run.ratio_lo - 1.0) * 100.0, (obs_run.ratio_hi - 1.0) * 100.0);
 
   // --- persistent index: mmap load vs cold rebuild ---------------------
   const std::size_t genome_len = EnvSize("GKGPU_GENOME", 1000000);
@@ -766,6 +800,7 @@ int main() {
   report.Add("served_coalesced_batches", served.coalesced_batches);
   report.Add("gatekeeper_false_accept_pct", gk_far);
   report.Add("snake_false_accept_pct", snake_far);
+  report.Add("metrics_batches_per_leg", obs_run.batches_per_leg);
   report.Add("metrics_enabled_seconds", obs_run.enabled_s);
   report.Add("metrics_disabled_seconds", obs_run.disabled_s);
   report.Add("metrics_overhead_pct", obs_run.overhead_pct());

@@ -21,17 +21,13 @@ namespace {
 // GPU always runs the GateKeeper kernel, so the filter label is fixed
 // and the tier distinguishes this path from the host SIMD tiers.
 void RecordEngineFunnel(std::uint64_t pairs, std::uint64_t accepted,
-                        std::uint64_t bypassed, std::uint64_t earlyouted = 0) {
+                        std::uint64_t bypassed) {
   if (!obs::Enabled() || pairs == 0) return;
   obs::FilterInput().Inc(pairs);
   obs::FilterAccepts("GateKeeper-GPU", "gpusim").Inc(accepted);
-  obs::FilterRejects("GateKeeper-GPU", "gpusim")
-      .Inc(pairs - accepted - earlyouted);
+  obs::FilterRejects("GateKeeper-GPU", "gpusim").Inc(pairs - accepted);
   if (bypassed > 0) {
     obs::FilterBypasses("GateKeeper-GPU", "gpusim").Inc(bypassed);
-  }
-  if (earlyouted > 0) {
-    obs::JointEarlyOutLanes("GateKeeper-GPU", "gpusim").Inc(earlyouted);
   }
 }
 
@@ -301,7 +297,6 @@ void GateKeeperGpuEngine::EncodeCandidatesInto(DeviceBuffers* b,
 /// cross the bus per batch.
 StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
                                                           DeviceBuffers* b,
-                                                          std::size_t begin,
                                                           std::size_t count,
                                                           PairResult* out) {
   StreamBatchStats st;
@@ -332,11 +327,11 @@ StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
   kernel.block.words_per_seq = static_cast<int>(words);
   kernel.block.reads_enc = b->reads_enc->as<Word>();
   kernel.block.bypass = b->bypass->as<std::uint8_t>();
-  kernel.block.candidates = b->cand->as<CandidatePair>() + begin;
+  kernel.block.candidates = b->cand->as<CandidatePair>();
   kernel.block.ref_words = ref_buffers_[di]->as<Word>();
   kernel.block.ref_n_mask = ref_nmask_buffers_[di]->as<Word>();
   kernel.block.ref_len = ref_length_;
-  kernel.results = b->results->as<PairResult>() + begin;
+  kernel.results = b->results->as<PairResult>();
   kernel.e = config_.error_threshold;
   kernel.params = config_.algorithm;
   st.kernel_seconds = dev->Launch(cfg, plan_.kernel_cost, fault_s, kernel);
@@ -345,19 +340,14 @@ StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
   st.transfer_seconds = prefetch_s + d2h_s;
   if (out != nullptr) {
     WallTimer readback;
-    const PairResult* res = b->results->as<PairResult>() + begin;
+    const PairResult* res = b->results->as<PairResult>();
     for (std::size_t i = 0; i < count; ++i) {
-      const PairResult r = res[i];
-      out[i] = r;
-      st.accepted += r.accept;
-      if (r.bypassed == 1) {
-        ++st.bypassed;
-      } else if (r.bypassed == 2) {
-        ++st.earlyouted;
-      }
+      out[i] = res[i];
+      st.accepted += res[i].accept;
+      st.bypassed += res[i].bypassed;
     }
     st.readback_seconds = readback.Seconds();
-    RecordEngineFunnel(count, st.accepted, st.bypassed, st.earlyouted);
+    RecordEngineFunnel(count, st.accepted, st.bypassed);
   }
   return st;
 }
@@ -420,54 +410,7 @@ StreamBatchStats GateKeeperGpuEngine::FilterCandidatesSlot(int device,
                                cand_streaming_slots_ +
                            slot]
           .get();
-  return RunCandidatesKernel(static_cast<std::size_t>(device), b, 0, count,
-                             out);
-}
-
-StreamBatchStats GateKeeperGpuEngine::FilterCandidatesSlotJoint(
-    int device, int slot, std::size_t count, const JointFilterPlan& plan,
-    PairResult* out) {
-  assert(device >= 0 && device < device_count());
-  assert(slot >= 0 && slot < cand_streaming_slots_);
-  assert(out != nullptr);
-  DeviceBuffers* b =
-      cand_stream_buffers_[static_cast<std::size_t>(device) *
-                               cand_streaming_slots_ +
-                           slot]
-          .get();
-  const std::size_t di = static_cast<std::size_t>(device);
-  if (plan.empty() || plan.phase_a == 0 || plan.phase_a >= count ||
-      plan.phase_a + plan.phase_b() != count) {
-    return RunCandidatesKernel(di, b, 0, count, out);
-  }
-  const std::size_t a = plan.phase_a;
-  StreamBatchStats st = RunCandidatesKernel(di, b, 0, a, out);
-  // Host-side kill pass between the two deterministic kernel phases: a
-  // phase-B lane dies when every partner lane of the other mate rejected —
-  // the lossless-filter contract then rules out any concordant combination
-  // this lane could still form.
-  CandidatePair* cand = b->cand->as<CandidatePair>();
-  for (std::size_t j = 0; j < plan.phase_b(); ++j) {
-    const std::uint32_t lo = plan.partner_off[j];
-    const std::uint32_t hi = plan.partner_off[j + 1];
-    if (lo == hi) continue;
-    bool all_rejected = true;
-    for (std::uint32_t k = lo; k < hi && all_rejected; ++k) {
-      const PairResult r = out[plan.partner_idx[k]];
-      all_rejected = r.accept == 0 && r.bypassed == 0;
-    }
-    if (all_rejected) cand[a + j].flags |= kCandidateLaneKilled;
-  }
-  b->cand->MarkHostResident();
-  const StreamBatchStats tail =
-      RunCandidatesKernel(di, b, a, count - a, out + a);
-  st.kernel_seconds += tail.kernel_seconds;
-  st.transfer_seconds += tail.transfer_seconds;
-  st.readback_seconds += tail.readback_seconds;
-  st.accepted += tail.accepted;
-  st.bypassed += tail.bypassed;
-  st.earlyouted += tail.earlyouted;
-  return st;
+  return RunCandidatesKernel(static_cast<std::size_t>(device), b, count, out);
 }
 
 std::size_t GateKeeperGpuEngine::PrepareStreaming(std::size_t batch_capacity,
@@ -683,30 +626,20 @@ FilterRunStats GateKeeperGpuEngine::FilterCandidates(
     const std::vector<CandidatePair>& candidates,
     std::vector<PairResult>* results) {
   std::vector<std::string_view> views(reads.begin(), reads.end());
-  return FilterCandidatesImpl(views.data(), views.size(), candidates, nullptr,
-                              results);
+  return FilterCandidatesImpl(views.data(), views.size(), candidates, results);
 }
 
 FilterRunStats GateKeeperGpuEngine::FilterCandidates(
     const std::vector<std::string_view>& reads,
     const std::vector<CandidatePair>& candidates,
     std::vector<PairResult>* results) {
-  return FilterCandidatesImpl(reads.data(), reads.size(), candidates, nullptr,
-                              results);
-}
-
-FilterRunStats GateKeeperGpuEngine::FilterCandidates(
-    const std::vector<std::string_view>& reads,
-    const std::vector<CandidatePair>& candidates,
-    const JointFilterPlan& plan, std::vector<PairResult>* results) {
-  return FilterCandidatesImpl(reads.data(), reads.size(), candidates, &plan,
-                              results);
+  return FilterCandidatesImpl(reads.data(), reads.size(), candidates, results);
 }
 
 FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
     const std::string_view* reads, std::size_t read_count,
     const std::vector<CandidatePair>& candidates,
-    const JointFilterPlan* plan, std::vector<PairResult>* results) {
+    std::vector<PairResult>* results) {
   assert(HasReference());
   const std::size_t n = candidates.size();
   results->assign(n, PairResult{});
@@ -741,107 +674,62 @@ FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
     std::size_t begin = 0;
     std::size_t count = 0;
   };
-  // Runs the usual equal-slices-per-device kernel rounds over candidate
-  // lanes [base, base + range_n) of the (possibly flag-stamped) table
-  // `cand`, writing (*results)[base + i] — shared by the independent path
-  // (one call over everything) and the joint path's two phases.
-  const auto run_range = [&](const CandidatePair* cand, std::size_t base,
-                             std::size_t range_n) {
-    std::size_t offset = 0;
-    while (offset < range_n) {
-      std::vector<Slice> slices(ndev);
-      for (std::size_t di = 0; di < ndev && offset < range_n; ++di) {
-        slices[di] = {offset, std::min(slice_cap, range_n - offset)};
-        offset += slices[di].count;
-      }
-
-      stats.host_copy_seconds +=
-          ConcurrentPerDevice(ndev, [&](std::size_t di) {
-            const Slice s = slices[di];
-            if (s.count == 0) return;
-            DeviceBuffers& b = *buffers_[di];
-            std::memcpy(b.cand->data(), cand + s.begin,
-                        s.count * sizeof(CandidatePair));
-            b.cand->MarkHostResident();
-            b.results->MarkHostResident();
-          });
-
-      double round_kt = 0.0;
-      double round_transfer = 0.0;
-      for (std::size_t di = 0; di < ndev; ++di) {
-        const Slice s = slices[di];
-        if (s.count == 0) continue;
-        const StreamBatchStats st = RunCandidatesKernel(
-            di, buffers_[di].get(), 0, s.count, /*out=*/nullptr);
-        round_kt = std::max(round_kt, st.kernel_seconds);
-        round_transfer = std::max(round_transfer, st.transfer_seconds);
-      }
-
-      std::vector<std::uint64_t> acc(ndev, 0);
-      std::vector<std::uint64_t> byp_count(ndev, 0);
-      std::vector<std::uint64_t> eo_count(ndev, 0);
-      stats.host_copy_seconds +=
-          ConcurrentPerDevice(ndev, [&](std::size_t di) {
-            const Slice s = slices[di];
-            if (s.count == 0) return;
-            const PairResult* res = buffers_[di]->results->as<PairResult>();
-            for (std::size_t i = 0; i < s.count; ++i) {
-              const PairResult r = res[i];
-              (*results)[base + s.begin + i] = r;
-              acc[di] += r.accept;
-              if (r.bypassed == 1) {
-                ++byp_count[di];
-              } else if (r.bypassed == 2) {
-                ++eo_count[di];
-              }
-            }
-          });
-      for (std::size_t di = 0; di < ndev; ++di) {
-        stats.accepted += acc[di];
-        stats.rejected += slices[di].count - acc[di] - eo_count[di];
-        stats.bypassed += byp_count[di];
-        stats.earlyouted += eo_count[di];
-        RecordEngineFunnel(slices[di].count, acc[di], byp_count[di],
-                           eo_count[di]);
-      }
-
-      stats.kernel_seconds += round_kt;
-      stats.transfer_seconds += round_transfer;
-      device_pipeline_seconds +=
-          devices_.front()->props().supports_prefetch()
-              ? std::max(round_kt, round_transfer)
-              : round_kt + round_transfer;
-      ++stats.batches;
+  std::size_t offset = 0;
+  while (offset < n) {
+    std::vector<Slice> slices(ndev);
+    for (std::size_t di = 0; di < ndev && offset < n; ++di) {
+      slices[di] = {offset, std::min(slice_cap, n - offset)};
+      offset += slices[di].count;
     }
-  };
 
-  const bool joint = plan != nullptr && !plan->empty() && plan->phase_a > 0 &&
-                     plan->phase_a < n && plan->phase_a + plan->phase_b() == n;
-  if (!joint) {
-    run_range(candidates.data(), 0, n);
-  } else {
-    const std::size_t a = plan->phase_a;
-    run_range(candidates.data(), 0, a);
-    // Host-side kill pass: a phase-B lane whose phase-A partner lanes all
-    // rejected can no longer complete a concordant combination (lossless-
-    // filter contract), so it early-outs without ever being filtered.  The
-    // flags are stamped into a scratch copy — the caller's table stays
-    // untouched.
-    std::vector<CandidatePair> tail(candidates.begin() +
-                                        static_cast<std::ptrdiff_t>(a),
-                                    candidates.end());
-    for (std::size_t j = 0; j < tail.size(); ++j) {
-      const std::uint32_t lo = plan->partner_off[j];
-      const std::uint32_t hi = plan->partner_off[j + 1];
-      if (lo == hi) continue;
-      bool all_rejected = true;
-      for (std::uint32_t k = lo; k < hi && all_rejected; ++k) {
-        const PairResult r = (*results)[plan->partner_idx[k]];
-        all_rejected = r.accept == 0 && r.bypassed == 0;
-      }
-      if (all_rejected) tail[j].flags |= kCandidateLaneKilled;
+    stats.host_copy_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
+      const Slice s = slices[di];
+      if (s.count == 0) return;
+      DeviceBuffers& b = *buffers_[di];
+      std::memcpy(b.cand->data(), candidates.data() + s.begin,
+                  s.count * sizeof(CandidatePair));
+      b.cand->MarkHostResident();
+      b.results->MarkHostResident();
+    });
+
+    double round_kt = 0.0;
+    double round_transfer = 0.0;
+    for (std::size_t di = 0; di < ndev; ++di) {
+      const Slice s = slices[di];
+      if (s.count == 0) continue;
+      const StreamBatchStats st =
+          RunCandidatesKernel(di, buffers_[di].get(), s.count, /*out=*/nullptr);
+      round_kt = std::max(round_kt, st.kernel_seconds);
+      round_transfer = std::max(round_transfer, st.transfer_seconds);
     }
-    run_range(tail.data(), a, tail.size());
+
+    std::vector<std::uint64_t> acc(ndev, 0);
+    std::vector<std::uint64_t> byp_count(ndev, 0);
+    stats.host_copy_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
+      const Slice s = slices[di];
+      if (s.count == 0) return;
+      const PairResult* res = buffers_[di]->results->as<PairResult>();
+      for (std::size_t i = 0; i < s.count; ++i) {
+        const PairResult r = res[i];
+        (*results)[s.begin + i] = r;
+        acc[di] += r.accept;
+        byp_count[di] += r.bypassed;
+      }
+    });
+    for (std::size_t di = 0; di < ndev; ++di) {
+      stats.accepted += acc[di];
+      stats.rejected += slices[di].count - acc[di];
+      stats.bypassed += byp_count[di];
+      RecordEngineFunnel(slices[di].count, acc[di], byp_count[di]);
+    }
+
+    stats.kernel_seconds += round_kt;
+    stats.transfer_seconds += round_transfer;
+    device_pipeline_seconds +=
+        devices_.front()->props().supports_prefetch()
+            ? std::max(round_kt, round_transfer)
+            : round_kt + round_transfer;
+    ++stats.batches;
   }
 
   const TransferLedger after = TransferLedger::Snapshot(devices_);

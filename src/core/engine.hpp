@@ -39,7 +39,6 @@ struct StreamBatchStats {
   double readback_seconds = 0.0;  // measured host time copying results out
   std::uint64_t accepted = 0;
   std::uint64_t bypassed = 0;
-  std::uint64_t earlyouted = 0;   // joint-filtration early-outs (no verdict)
 };
 
 /// Aggregated statistics of one Filter* call.
@@ -49,7 +48,6 @@ struct FilterRunStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t bypassed = 0;     // undefined pairs
-  std::uint64_t earlyouted = 0;   // joint-filtration early-outs (no verdict)
   double kernel_seconds = 0.0;    // simulated device time ("kt")
   double filter_seconds = 0.0;    // host + device total ("ft")
   double host_encode_seconds = 0.0;
@@ -109,17 +107,6 @@ class GateKeeperGpuEngine {
   FilterRunStats FilterCandidates(const std::vector<std::string_view>& reads,
                                   const std::vector<CandidatePair>& candidates,
                                   std::vector<PairResult>* results);
-  /// Mate-aware joint filtration: candidates are laid out
-  /// [phase-A lanes..., phase-B lanes...) per `plan`
-  /// (filters/pair_block.hpp).  Phase A filters first; each phase-B lane
-  /// whose phase-A partner lanes were all rejected is early-outed
-  /// (EarlyOutPairResult, bypassed == 2) without ever being filtered.
-  /// Verdicts of lanes that do filter are identical to the independent
-  /// path.  An empty plan degrades to plain FilterCandidates.
-  FilterRunStats FilterCandidates(const std::vector<std::string_view>& reads,
-                                  const std::vector<CandidatePair>& candidates,
-                                  const JointFilterPlan& plan,
-                                  std::vector<PairResult>* results);
 
   // --- Streaming path (driven by src/pipeline/) -------------------------
   //
@@ -177,15 +164,6 @@ class GateKeeperGpuEngine {
   StreamBatchStats FilterCandidatesSlot(int device, int slot,
                                         std::size_t count, PairResult* out);
 
-  /// Joint-filtration device stage for a previously encoded candidate
-  /// slot: two sub-range kernel launches around a host-side kill pass
-  /// (see the FilterCandidates plan overload).  `out` must be non-null —
-  /// phase A's verdicts drive the kill computation.
-  StreamBatchStats FilterCandidatesSlotJoint(int device, int slot,
-                                             std::size_t count,
-                                             const JointFilterPlan& plan,
-                                             PairResult* out);
-
  private:
   struct DeviceBuffers;
 
@@ -204,13 +182,9 @@ class GateKeeperGpuEngine {
                                       std::size_t read_count,
                                       const std::vector<CandidatePair>&
                                           candidates,
-                                      const JointFilterPlan* plan,
                                       std::vector<PairResult>* results);
-  /// Runs the candidate kernel over lanes [begin, begin + count) of the
-  /// buffer set's staged candidate table, writing out[0..count).
   StreamBatchStats RunCandidatesKernel(std::size_t di, DeviceBuffers* b,
-                                       std::size_t begin, std::size_t count,
-                                       PairResult* out);
+                                       std::size_t count, PairResult* out);
   void EncodePairsInto(DeviceBuffers* b, const std::string* reads,
                        const std::string* refs, std::size_t count);
   StreamBatchStats RunPairsKernel(gpusim::Device* dev, DeviceBuffers* b,

@@ -65,31 +65,19 @@ inline PairResult MakePairResult(const FilterResult& r, bool bypassed) {
 /// The bypass-accept slot an undefined pair receives on every path.
 inline PairResult BypassedPairResult() { return PairResult{1, 1, 0}; }
 
-/// The slot an early-outed lane receives: not accepted, never filtered.
-/// bypassed == 2 distinguishes "killed before filtration" (mate-aware
-/// joint filtration: the partner mate's lanes all rejected, so this lane
-/// can no longer complete a concordant combination) from the bypass-accept
-/// of an undefined pair — downstream must treat the verdict as *unknown*,
-/// not as a rejection.
-inline PairResult EarlyOutPairResult() { return PairResult{0, 2, 0}; }
-
-/// CandidatePair::flags bit: the lane is killed — consumers must write
-/// EarlyOutPairResult() without touching the read or the reference.
-inline constexpr std::uint8_t kCandidateLaneKilled = 1;
-
 /// One candidate mapping: which read, where its candidate reference
 /// segment starts on the genome, and which strand the read matches on.
 /// strand 1 means the *reverse complement* of the read is compared against
 /// the forward reference window — the strand bit travels through the
 /// engine's candidate slots so consumers can reorient the encoded read in
 /// scratch and filtration still slices windows from the encoded reference
-/// with no per-candidate strings anywhere.  `flags` rides in what used to
-/// be padding (sizeof stays 16), so kill bits flow through the unified
-/// candidate buffers with zero layout change.
+/// with no per-candidate strings anywhere.  `reserved` names the padding
+/// byte after the strand so brace initializers list all four fields; it is
+/// always 0 and nothing reads it.
 struct CandidatePair {
   std::uint32_t read_index = 0;
   std::uint8_t strand = 0;  // 0 = forward, 1 = reverse complement
-  std::uint8_t flags = 0;   // kCandidateLaneKilled
+  std::uint8_t reserved = 0;
   std::int64_t ref_pos = 0;
 };
 
@@ -109,11 +97,6 @@ struct PairBlock {
   /// Undefined-pair flags: per pair (encoded shape) or per read-table
   /// entry (candidates shape).  Null = no undefined sequences.
   const std::uint8_t* bypass = nullptr;
-  /// Per-pair kill flags (encoded / raw shapes; candidates carry theirs in
-  /// CandidatePair::flags).  Non-zero = the lane is early-outed: consumers
-  /// write EarlyOutPairResult() and never look at the sequences.  Null =
-  /// no killed lanes.
-  const std::uint8_t* kill = nullptr;
 
   // --- Shape: raw --------------------------------------------------------
   const char* raw_reads = nullptr;  // size * length characters
@@ -135,9 +118,6 @@ struct BlockPairView {
   const Word* read = nullptr;
   const Word* ref = nullptr;
   bool bypass = false;
-  /// Early-outed lane: read/ref are unspecified (possibly null); the only
-  /// valid consumption is writing EarlyOutPairResult().
-  bool killed = false;
 };
 
 /// Materializes pair `i` of `block` in the encoded domain, using
@@ -151,10 +131,6 @@ inline BlockPairView LoadBlockPair(const PairBlock& block, std::size_t i,
   BlockPairView v;
   if (block.candidate_shape()) {
     const CandidatePair c = block.candidates[i];
-    if ((c.flags & kCandidateLaneKilled) != 0) {
-      v.killed = true;
-      return v;
-    }
     v.bypass = (block.bypass != nullptr && block.bypass[c.read_index] != 0) ||
                RangeHasUnknownRaw(block.ref_n_mask, block.ref_len, c.ref_pos,
                                   block.length);
@@ -172,10 +148,6 @@ inline BlockPairView LoadBlockPair(const PairBlock& block, std::size_t i,
       read = read_scratch;
     }
     v.read = read;
-    return v;
-  }
-  if (block.kill != nullptr && block.kill[i] != 0) {
-    v.killed = true;
     return v;
   }
   if (block.raw_shape()) {
@@ -221,14 +193,10 @@ class PairBlockStorage {
   void Add(std::string_view read, std::string_view ref,
            bool mark_undefined = true);
 
-  /// Marks pair `i` as killed (early-outed): every filter writes
-  /// EarlyOutPairResult() for it without reading the sequences.
-  void MarkKilled(std::size_t i);
-
   std::size_t size() const { return bypass_.size(); }
   int length() const { return length_; }
 
-  /// A view of the current contents; invalidated by Add/Reset/MarkKilled.
+  /// A view of the current contents; invalidated by Add/Reset.
   PairBlock view() const;
 
  private:
@@ -237,28 +205,6 @@ class PairBlockStorage {
   std::vector<Word> reads_;
   std::vector<Word> refs_;
   std::vector<std::uint8_t> bypass_;
-  std::vector<std::uint8_t> kill_;
-};
-
-/// Joint-filtration schedule over one candidate range laid out
-/// [phase-A lanes..., phase-B lanes...): phase A (lanes [0, phase_a))
-/// filters first; a phase-B lane is killed before its round when *all* of
-/// its phase-A partner lanes came back rejected (accept == 0 &&
-/// bypassed == 0) — by the lossless-filter contract the partner mate then
-/// has no surviving placement that could complete a concordant
-/// combination with this lane.  partner_off/partner_idx form a CSR over
-/// the phase-B lanes: partners of B lane j (a *global* lane index,
-/// phase_a <= j < lanes) are partner_idx[partner_off[j - phase_a] ..
-/// partner_off[j - phase_a + 1]), each a phase-A lane index < phase_a.
-struct JointFilterPlan {
-  std::size_t phase_a = 0;
-  std::vector<std::uint32_t> partner_off;
-  std::vector<std::uint32_t> partner_idx;
-
-  bool empty() const { return partner_off.empty(); }
-  std::size_t phase_b() const {
-    return partner_off.empty() ? 0 : partner_off.size() - 1;
-  }
 };
 
 }  // namespace gkgpu

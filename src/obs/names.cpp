@@ -60,22 +60,6 @@ Counter FilterBypasses(const std::string& filter, const std::string& tier) {
                      {{"filter", filter}, {"tier", tier}});
 }
 
-Counter JointEarlyOutLanes(const std::string& filter, const std::string& tier) {
-  return R().counter("gkgpu_joint_earlyout_lanes_total",
-                     "Lanes early-outed by mate-aware joint filtration "
-                     "(killed before filtration, no verdict) per filter and "
-                     "tier",
-                     {{"filter", filter}, {"tier", tier}});
-}
-
-Counter CombinationsShortCircuited() {
-  static const Counter c = R().counter(
-      "gkgpu_combinations_shortcircuited_total",
-      "Candidate combinations never filtered because every partner lane of "
-      "the other mate already rejected");
-  return c;
-}
-
 Counter RescuedMates() {
   static const Counter c = R().counter(
       "gkgpu_rescued_mates_total",

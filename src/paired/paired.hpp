@@ -84,14 +84,6 @@ struct PairedConfig {
   /// Pairs per blocking batch (both mates' candidates share one
   /// filtration round).
   std::size_t max_pairs_per_batch = 50000;
-  /// Mate-aware joint filtration: schedule both mates of each candidate
-  /// combination into one filtration batch laid out in two phases, order
-  /// the deferred mate's lanes by insert-model likelihood, and early-out
-  /// lanes whose partner-mate lanes all rejected — plus a pigeonhole seed
-  /// gate that skips provably futile SW rescues.  SAM output is
-  /// byte-identical either way (the early-out contract never changes a
-  /// verdict); false restores fully independent filtration.
-  bool joint_filtration = true;
 };
 
 struct PairedStats {
@@ -102,6 +94,9 @@ struct PairedStats {
   std::uint64_t single_end_pairs = 0;  // one mate mapped, rescue failed
   std::uint64_t unmapped_pairs = 0;
   std::uint64_t rescued_mates = 0;
+  /// SW mate-rescue fit alignments actually run (a rescue whose predicted
+  /// window falls outside the chromosome runs none).
+  std::uint64_t rescue_invocations = 0;
   /// Proper pairs flagged 0x400 (mark_duplicates only; later copies of an
   /// already-seen fragment signature).
   std::uint64_t duplicate_pairs = 0;
@@ -121,23 +116,6 @@ struct PairedStats {
   std::uint64_t verification_pairs = 0;
   std::uint64_t rejected_pairs = 0;
   std::uint64_t bypassed_pairs = 0;
-
-  // Mate-aware joint filtration (joint_filtration only; all zero when
-  // disabled).
-  /// Lanes early-outed before filtration (partner-mate lanes all rejected).
-  std::uint64_t earlyout_lanes = 0;
-  /// Candidate combinations never filtered because one side early-outed —
-  /// the sum over killed lanes of their concordance-feasible partner count.
-  std::uint64_t shortcircuited_combinations = 0;
-  /// Early-outed lanes later verified directly because their pair came up
-  /// empty (rare; keeps SAM byte-identical to independent filtration).
-  std::uint64_t resurrected_lanes = 0;
-  /// SW mate-rescue fit alignments actually run.
-  std::uint64_t rescue_invocations = 0;
-  /// Rescues skipped by the pigeonhole seed gate (no seed hit of the
-  /// rescue strand in the predicted window, dense seeding, interior
-  /// window — SW provably cannot place the mate within the threshold).
-  std::uint64_t rescue_gate_skips = 0;
 
   double insert_mean = 0.0;
   double insert_sigma = 0.0;

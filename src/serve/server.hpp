@@ -93,7 +93,8 @@ class MapServer {
   void Run();
 
   /// Async-signal-safe shutdown request (a write to the self-pipe);
-  /// callable from a SIGTERM handler or any thread.
+  /// callable from a SIGTERM handler or any thread at any point in the
+  /// server's lifetime, before, during or after Run().
   void Shutdown() noexcept;
 
   /// True once Run() has bound the socket and is accepting connections.

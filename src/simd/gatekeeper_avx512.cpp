@@ -276,26 +276,17 @@ void GateKeeperFilterRangeAvx512(const PairBlock& block, std::size_t begin,
     U64 reads[kLanes][kMaxWords64];
     U64 refs[kLanes][kMaxWords64];
     bool bypass[kLanes];
-    bool killed[kLanes];
-    bool all_inactive = true;
+    bool all_bypassed = true;
     LoadBlockGroup(block, i, kLanes, read_scratch, ref_scratch, views);
     for (int l = 0; l < kLanes; ++l) {
       bypass[l] = views[l].bypass;
-      killed[l] = views[l].killed;
-      all_inactive = all_inactive && (views[l].bypass || views[l].killed);
-      if (killed[l]) {
-        // Killed lanes carry no sequences; zero-filled words keep the
-        // group kernel's vector math defined, the result is overwritten.
-        for (int w = 0; w < kMaxWords64; ++w) reads[l][w] = refs[l][w] = 0;
-        continue;
-      }
+      all_bypassed = all_bypassed && views[l].bypass;
       PackWords64(views[l].read, enc32, reads[l]);
       PackWords64(views[l].ref, enc32, refs[l]);
     }
-    if (all_inactive) {
+    if (all_bypassed) {
       for (int l = 0; l < kLanes; ++l) {
-        results[i + static_cast<std::size_t>(l)] =
-            killed[l] ? EarlyOutPairResult() : BypassedPairResult();
+        results[i + static_cast<std::size_t>(l)] = BypassedPairResult();
       }
       continue;
     }
@@ -307,9 +298,8 @@ void GateKeeperFilterRangeAvx512(const PairBlock& block, std::size_t begin,
     }
     for (int l = 0; l < kLanes; ++l) {
       results[i + static_cast<std::size_t>(l)] =
-          killed[l] ? EarlyOutPairResult()
-          : bypass[l] ? BypassedPairResult()
-                      : MakePairResult({errors[l] <= e, errors[l]}, false);
+          bypass[l] ? BypassedPairResult()
+                    : MakePairResult({errors[l] <= e, errors[l]}, false);
     }
   }
   if (i < end) {

@@ -9,7 +9,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -391,6 +393,40 @@ TEST_F(ServeTest, ShutdownWithoutClientsDrainsCleanly) {
   const serve::ServeStats stats =
       WithServer(BaseConfig(), [](const std::string&) {});
   EXPECT_EQ(stats.sessions_accepted, 0u);
+}
+
+TEST_F(ServeTest, ShutdownRacingTheServerReturnTouchesNoClosedDescriptor) {
+  // Shutdown() is the SIGTERM path, so it can fire at any moment —
+  // including while Run() drains and tears down.  One thread keeps calling
+  // it across the server's return; none of those calls may read or write
+  // a descriptor the server is closing (ThreadSanitizer reports any
+  // unsynchronized access).
+  const serve::ServeConfig scfg = BaseConfig();
+  serve::MapServer server(mapper_, engine_.get(), scfg);
+  std::thread run([&] { server.Run(); });
+  for (int i = 0; i < 2000 && !server.serving(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(server.serving());
+  // A write into a pipe whose read end is gone raises SIGPIPE; ignore it
+  // so such a write shows up as a sanitizer report, not a killed binary.
+  const auto old_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+  std::atomic<bool> returned{false};
+  std::thread signaller([&] {
+    // Paced so a server whose pipe blocks is not simply filled up.
+    while (!returned.load(std::memory_order_relaxed)) {
+      server.Shutdown();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  run.join();
+  // Let a few more calls land after Run() returned.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  returned.store(true, std::memory_order_relaxed);
+  signaller.join();
+  server.Shutdown();  // still safe once the server has returned
+  std::signal(SIGPIPE, old_sigpipe);
+  EXPECT_FALSE(std::filesystem::exists(scfg.socket_path));
 }
 
 TEST(ServeProtocolTest, JobSpecRoundTripIgnoresUnknownKeys) {

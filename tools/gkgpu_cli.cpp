@@ -31,6 +31,7 @@
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
 // `--index FILE` in place of `--ref FASTA` to start instantly.
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -1156,10 +1157,13 @@ int IndexCmd(const Args& args) {
   return 0;
 }
 
-serve::MapServer* g_server = nullptr;
+// Atomic so the handler, which may run on any thread, reads it race-free
+// (a lock-free atomic load is async-signal-safe).
+std::atomic<serve::MapServer*> g_server{nullptr};
 
 void HandleServeSignal(int) {
-  if (g_server != nullptr) g_server->Shutdown();  // async-signal-safe
+  serve::MapServer* server = g_server.load();
+  if (server != nullptr) server->Shutdown();  // async-signal-safe
 }
 
 /// `gkgpu serve`: the mapping daemon.  Loads the reference once (ideally
