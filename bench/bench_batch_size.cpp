@@ -1,7 +1,10 @@
-// Reproduces Table 1: the effect of the maximum number of reads processed
-// per batch (100 / 1,000 / 10,000 / 100,000) on the whole-mapping times —
-// overall, host encode (or raw copy), kernel, and filter time — for both
-// encoding actors, on a chromosome-scale synthetic mapping run.
+// Reproduces the shape of Table 1: the effect of the batch size on the
+// whole-mapping times — overall, host encode, kernel, and filter time —
+// for both encoding actors, on a chromosome-scale synthetic mapping run.
+// The paper batches reads; the mapper's streaming pipeline batches
+// candidates, so the sweep (100 / 1,000 / 10,000 / 100,000) is in
+// candidates per batch (PipelineConfig::batch_size, clamped to the
+// engine's per-kernel plan).
 //
 // Scale with GKGPU_GENOME (default 2,000,000 bp) and GKGPU_READS
 // (default 30,000).
@@ -20,7 +23,7 @@ using namespace gkgpu::bench;
 int main() {
   const std::size_t genome_len = EnvSize("GKGPU_GENOME", 2000000);
   const std::size_t n_reads = EnvSize("GKGPU_READS", 30000);
-  std::printf("=== Table 1: max reads per batch vs time (seconds) ===\n");
+  std::printf("=== Table 1: candidates per batch vs time (seconds) ===\n");
   std::printf("(genome %zu bp, %zu reads of 100 bp, e = 5, single GPU)\n\n",
               genome_len, n_reads);
 
@@ -33,7 +36,7 @@ int main() {
   mcfg.error_threshold = 5;
   ReadMapper mapper(genome, mcfg);
 
-  TablePrinter table({"max reads", "encoding", "overall", "encode/copy",
+  TablePrinter table({"candidates/batch", "encoding", "overall", "encode",
                       "kernel", "filter"});
   for (const std::size_t batch : {100u, 1000u, 10000u, 100000u}) {
     for (const EncodingActor actor :
@@ -43,22 +46,23 @@ int main() {
       ecfg.read_length = mcfg.read_length;
       ecfg.error_threshold = mcfg.error_threshold;
       ecfg.encoding = actor;
-      ecfg.max_reads_per_batch = batch;
       GateKeeperGpuEngine engine(ecfg, Ptrs(devices));
-      const MappingStats s = mapper.MapReads(reads, &engine, nullptr);
+      pipeline::PipelineConfig pcfg;
+      pcfg.batch_size = batch;
+      const MappingStats s = mapper.MapReads(reads, &engine, pcfg);
       table.AddRow({TablePrinter::Count(batch), EncodingActorName(actor),
                     TablePrinter::Num(s.total_seconds, 3),
-                    TablePrinter::Num(s.filter_encode_seconds +
-                                          s.filter_copy_seconds,
-                                      3),
+                    TablePrinter::Num(s.filter_encode_seconds, 3),
                     TablePrinter::Num(s.filter_kernel_seconds, 3),
                     TablePrinter::Num(s.filter_seconds, 3)});
     }
   }
   table.Print(std::cout);
   std::printf(
-      "\nExpected shape (paper Table 1): every time column shrinks as the\n"
-      "batch grows (fewer kernel rounds and transfers); 100,000 reads per\n"
-      "batch is the sweet spot.\n");
+      "\nPaper Table 1: every time column shrinks as the batch grows (fewer\n"
+      "kernel rounds and transfers), with 100,000 reads per batch the sweet\n"
+      "spot.  Here the modeled kernel and filter columns follow that shape;\n"
+      "overall wall time also loses stage overlap once one batch holds most\n"
+      "of the run's candidates.\n");
   return 0;
 }

@@ -93,8 +93,8 @@ int main() {
     ecfg.error_threshold = kThreshold;
     GateKeeperGpuEngine engine(ecfg, ptrs);
     ReadMapper mapper(w.genome, MakeMapperConfig());
-    const MappingStats s1 = mapper.MapReads(w.r1_seqs, &engine, nullptr);
-    const MappingStats s2 = mapper.MapReads(w.r2_seqs, &engine, nullptr);
+    const MappingStats s1 = mapper.MapReads(w.r1_seqs, &engine);
+    const MappingStats s2 = mapper.MapReads(w.r2_seqs, &engine);
     const double t = s1.total_seconds + s2.total_seconds;
     se_seconds = rep == 0 ? t : std::min(se_seconds, t);
     se_candidates = s1.candidates_total + s2.candidates_total;
@@ -102,8 +102,9 @@ int main() {
     se_mapped = s1.mapped_reads + s2.mapped_reads;
   }
 
-  // --- Paired path (blocking driver; the golden test pins streaming to
-  // byte-identical output, so one driver's numbers speak for both). ---
+  // --- Paired path: MapPairs with the paired adaptive preset (it swaps
+  // in PairedAdaptiveDefaults for knobs left at the generic single-end
+  // values). ---
   double pe_seconds = 0.0;
   PairedStats pe;
   for (int rep = 0; rep < reps; ++rep) {
@@ -117,36 +118,15 @@ int main() {
     PairedConfig pconf;
     pconf.max_insert = 800;
     PairedEndMapper paired(mapper, pconf);
-    pe = paired.MapPairs(w.r1, w.r2, &engine, nullptr);
-    pe_seconds =
-        rep == 0 ? pe.total_seconds : std::min(pe_seconds, pe.total_seconds);
-  }
-
-  // --- Streaming driver with the paired adaptive preset (bounded
-  // memory; MapPairsStreaming swaps in PairedAdaptiveDefaults for knobs
-  // left at the generic single-end values). ---
-  double st_seconds = 0.0;
-  PairedStats st;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto devices = gpusim::MakeSetup1(2);
-    auto ptrs = Ptrs(devices);
-    EngineConfig ecfg;
-    ecfg.read_length = kLength;
-    ecfg.error_threshold = kThreshold;
-    GateKeeperGpuEngine engine(ecfg, ptrs);
-    ReadMapper mapper(w.genome, MakeMapperConfig());
-    PairedConfig pconf;
-    pconf.max_insert = 800;
     std::stringstream fq1, fq2;
     WriteFastq(fq1, w.r1);
     WriteFastq(fq2, w.r2);
     PairedFastqReader reader(fq1, fq2);
     pipeline::PipelineConfig pcfg;
     pcfg.adaptive = true;
-    st = StreamPairedFastqToSam(reader, mapper, &engine, pconf, pcfg,
-                                nullptr);
-    st_seconds = rep == 0 ? st.total_seconds
-                          : std::min(st_seconds, st.total_seconds);
+    pe = paired.MapPairs(reader, &engine, pcfg, nullptr);
+    pe_seconds =
+        rep == 0 ? pe.total_seconds : std::min(pe_seconds, pe.total_seconds);
   }
 
   const double prune = pe.PruningRatio();
@@ -161,25 +141,18 @@ int main() {
   const double pe_rate = pe_seconds > 0.0
                              ? static_cast<double>(n_pairs) / pe_seconds
                              : 0.0;
-  const double st_rate = st_seconds > 0.0
-                             ? static_cast<double>(n_pairs) / st_seconds
-                             : 0.0;
 
-  TablePrinter t({"metric", "single-end x2", "paired", "paired streaming"});
+  TablePrinter t({"metric", "single-end x2", "paired"});
   t.AddRow({"candidates", TablePrinter::Count(se_candidates),
-            TablePrinter::Count(pe.candidates_paired),
-            TablePrinter::Count(st.candidates_paired)});
+            TablePrinter::Count(pe.candidates_paired)});
   t.AddRow({"verification pairs", TablePrinter::Count(se_verify),
-            TablePrinter::Count(pe.verification_pairs),
-            TablePrinter::Count(st.verification_pairs)});
+            TablePrinter::Count(pe.verification_pairs)});
   t.AddRow({"mapped reads / proper pairs", TablePrinter::Count(se_mapped),
-            TablePrinter::Count(pe.proper_pairs),
-            TablePrinter::Count(st.proper_pairs)});
+            TablePrinter::Count(pe.proper_pairs)});
   t.AddRow({"wall (s)", TablePrinter::Num(se_seconds, 3),
-            TablePrinter::Num(pe_seconds, 3),
-            TablePrinter::Num(st_seconds, 3)});
+            TablePrinter::Num(pe_seconds, 3)});
   t.AddRow({"pairs/s", TablePrinter::Num(se_rate, 0),
-            TablePrinter::Num(pe_rate, 0), TablePrinter::Num(st_rate, 0)});
+            TablePrinter::Num(pe_rate, 0)});
   t.Print(std::cout);
   std::printf(
       "\npruning ratio (seeded/after-pairing): %.2fx\n"
@@ -200,16 +173,6 @@ int main() {
                 static_cast<unsigned long long>(pe.proper_pairs), n_pairs);
     ok = false;
   }
-  // The drivers are pinned byte-identical by the golden test; the
-  // adaptive preset must not perturb what the streaming driver maps.
-  if (st.proper_pairs != pe.proper_pairs ||
-      st.duplicate_pairs != pe.duplicate_pairs) {
-    std::printf("FAIL: streaming (adaptive preset) diverged from blocking "
-                "(proper %llu vs %llu)\n",
-                static_cast<unsigned long long>(st.proper_pairs),
-                static_cast<unsigned long long>(pe.proper_pairs));
-    ok = false;
-  }
   std::printf("%s\n", ok ? "OK" : "BENCH GATE FAILED");
 
   // Machine-readable trajectory point (uploaded as a CI artifact).
@@ -226,10 +189,8 @@ int main() {
   report.Add("insert_sigma", pe.insert_sigma);
   report.Add("single_end_seconds", se_seconds);
   report.Add("paired_seconds", pe_seconds);
-  report.Add("streaming_adaptive_seconds", st_seconds);
   report.Add("single_end_pairs_per_s", se_rate);
   report.Add("paired_pairs_per_s", pe_rate);
-  report.Add("streaming_adaptive_pairs_per_s", st_rate);
   report.Add("gate_pass", ok);
   report.Write();
   return ok ? 0 : 1;

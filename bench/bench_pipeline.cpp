@@ -318,7 +318,6 @@ ServedResult RunServedBench(const MappedIndexFile& mapped,
   mcfg.k = mapped.k();
   mcfg.read_length = 100;
   mcfg.error_threshold = 5;
-  mcfg.verify_threads = 4;
   const ReadMapper mapper(mapped.reference(), mapped.seed_index().Alias(),
                           mcfg);
 
@@ -502,7 +501,7 @@ MinimizerBenchResult RunMinimizerBench(const ReferenceSet& ref,
     }
     std::vector<MappingRecord> records;
     const MappingStats s =
-        mapper.MapReads(reads, /*filter=*/nullptr, &records);
+        mapper.MapReads(reads, /*filter=*/nullptr, {}, &records);
     *candidates = s.candidates_total;
     *seed_s = s.seeding_seconds;
     std::vector<char> mapped(reads.size(), 0);

@@ -47,15 +47,20 @@ GenomeProfile WholeGenomeProfile() {
   return g;
 }
 
-// mrFAST verifies single-threaded; keeping verification serial preserves
-// the paper's DP-time bottleneck that Tables 4/5 measure.
 MapperConfig MakeMapperConfig(int length, int e) {
   MapperConfig m;
   m.k = 12;
   m.read_length = length;
   m.error_threshold = e;
-  m.verify_threads = 1;
   return m;
+}
+
+// mrFAST verifies single-threaded; keeping verification serial preserves
+// the paper's DP-time bottleneck that Tables 4/5 measure.
+pipeline::PipelineConfig SerialVerify() {
+  pipeline::PipelineConfig p;
+  p.verify_workers = 1;
+  return p;
 }
 
 MappingStats RunFiltered(ReadMapper& mapper,
@@ -67,7 +72,7 @@ MappingStats RunFiltered(ReadMapper& mapper,
   ecfg.error_threshold = e;
   ecfg.encoding = actor;
   GateKeeperGpuEngine engine(ecfg, Ptrs(devices));
-  return mapper.MapReads(reads, &engine, nullptr);
+  return mapper.MapReads(reads, &engine, SerialVerify());
 }
 
 void PrintMappingInfo(const char* title, const MappingStats& plain,
@@ -165,7 +170,7 @@ int main() {
       ReadMapper mapper(genome, mcfg);
       RunOutcome s1;
       RunOutcome s2;
-      s1.plain = mapper.MapReads(reads, nullptr, nullptr);
+      s1.plain = mapper.MapReads(reads, nullptr, SerialVerify());
       s2.plain = s1.plain;
       s1.filtered[0] = RunFiltered(mapper, reads, 100, e, 1,
                                    EncodingActor::kDevice);
@@ -193,7 +198,7 @@ int main() {
         genome, n_reads / 8, 300, ReadErrorProfile::RichDeletion(), 35);
     MapperConfig mcfg = MakeMapperConfig(300, 15);
     ReadMapper mapper(genome, mcfg);
-    const MappingStats plain = mapper.MapReads(reads, nullptr, nullptr);
+    const MappingStats plain = mapper.MapReads(reads, nullptr, SerialVerify());
     const MappingStats filtered =
         RunFiltered(mapper, reads, 300, 15, 1, EncodingActor::kDevice);
     PrintMappingInfo("Table S.24: sim_set_1-like (300bp rich deletions, "
@@ -207,7 +212,7 @@ int main() {
         genome, n_reads / 2, 150, ReadErrorProfile::LowIndel(), 36);
     MapperConfig mcfg = MakeMapperConfig(150, 8);
     ReadMapper mapper(genome, mcfg);
-    const MappingStats plain = mapper.MapReads(reads, nullptr, nullptr);
+    const MappingStats plain = mapper.MapReads(reads, nullptr, SerialVerify());
     const MappingStats filtered =
         RunFiltered(mapper, reads, 150, 8, 1, EncodingActor::kHost);
     PrintMappingInfo("Table S.25: sim_set_2-like (150bp low indel, e = 8)",
@@ -230,7 +235,8 @@ int main() {
           37 + static_cast<std::uint64_t>(x.length) + x.e);
       MapperConfig mcfg = MakeMapperConfig(x.length, x.e);
       ReadMapper mapper(genome, mcfg);
-      const MappingStats plain = mapper.MapReads(reads, nullptr, nullptr);
+      const MappingStats plain =
+          mapper.MapReads(reads, nullptr, SerialVerify());
       const MappingStats filtered = RunFiltered(mapper, reads, x.length, x.e,
                                                 1, EncodingActor::kHost);
       char title[96];

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
   std::printf("Mapping without a pre-alignment filter...\n");
   std::vector<MappingRecord> plain_records;
-  const MappingStats plain = mapper.MapReads(reads, nullptr, &plain_records);
+  const MappingStats plain =
+      mapper.MapReads(reads, nullptr, {}, &plain_records);
 
   std::printf("Mapping with GateKeeper-GPU...\n\n");
   auto devices = gpusim::MakeSetup1(1);
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   ecfg.error_threshold = mcfg.error_threshold;
   GateKeeperGpuEngine engine(ecfg, ptrs);
   std::vector<MappingRecord> filtered_records;
-  const MappingStats filtered = mapper.MapReads(reads, &engine,
+  const MappingStats filtered = mapper.MapReads(reads, &engine, {},
                                                 &filtered_records);
 
   TablePrinter table({"mrFAST w/", "mappings", "mapped reads",

@@ -28,9 +28,6 @@ struct EngineConfig {
   int error_threshold = 5;
   EncodingActor encoding = EncodingActor::kHost;
   GateKeeperParams algorithm{};
-  /// Maximum reads batched per kernel round in mapper mode (Table 1: the
-  /// paper finds 100,000 the sweet spot for mrFAST).
-  std::size_t max_reads_per_batch = 100000;
   int threads_per_block = 1024;
   /// Fraction of free global memory the configuration step may claim.
   double mem_safety_factor = 0.85;

@@ -99,8 +99,7 @@ class GateKeeperGpuEngine {
   /// Candidate mode, step 2: filter candidate mappings of `reads` (each at
   /// most config().read_length).  Candidates index into `reads`.  The
   /// string_view overload lets callers hand a window into an existing read
-  /// set without per-batch string copies (the blocking mapper and the
-  /// paired driver build their batch read tables as views).
+  /// set without per-batch string copies.
   FilterRunStats FilterCandidates(const std::vector<std::string>& reads,
                                   const std::vector<CandidatePair>& candidates,
                                   std::vector<PairResult>* results);

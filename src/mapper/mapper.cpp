@@ -1,16 +1,12 @@
 #include "mapper/mapper.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <stdexcept>
 
-#include "align/banded.hpp"
+#include "encode/revcomp.hpp"
 #include "mapper/minimizer.hpp"
 #include "obs/names.hpp"
-#include "encode/revcomp.hpp"
 #include "pipeline/candidate_packer.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace gkgpu {
@@ -21,9 +17,7 @@ ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
       index_(SeedIndex::Build(ref_,
                               SeedConfig{config.k, config.seed_mode,
                                          config.minimizer_w,
-                                         config.shard_max_bp})),
-      verify_pool_(std::make_unique<ThreadPool>(config.verify_threads,
-                                                "gkgpu-verify")) {}
+                                         config.shard_max_bp})) {}
 
 ReadMapper::ReadMapper(std::string genome, MapperConfig config)
     : ReadMapper(ReferenceSet("synthetic_chr1", std::move(genome)), config) {}
@@ -32,9 +26,7 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
                        MapperConfig config)
     : ref_(std::move(reference)),
       config_(config),
-      index_(std::move(index)),
-      verify_pool_(std::make_unique<ThreadPool>(config.verify_threads,
-                                                "gkgpu-verify")) {
+      index_(std::move(index)) {
   if (index_.k() != config_.k) {
     throw std::invalid_argument(
         "ReadMapper: preloaded index was built with k=" +
@@ -53,8 +45,6 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
     config_.minimizer_w = index_.minimizer_w();
   }
 }
-
-ReadMapper::~ReadMapper() = default;
 
 void ReadMapper::CollectDense(std::string_view read,
                               std::vector<std::int64_t>* candidates) const {
@@ -166,7 +156,20 @@ void ReadMapper::PublishSeedObservability(const MappingStats& stats) const {
 
 MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
                                   GateKeeperGpuEngine* filter,
+                                  pipeline::PipelineConfig pcfg,
                                   std::vector<MappingRecord>* out) {
+  if (filter != nullptr) {
+    const std::size_t expected =
+        static_cast<std::size_t>(filter->config().read_length);
+    for (const std::string& r : reads) {
+      if (r.size() != expected) {
+        throw std::invalid_argument(
+            "MapReads: with a filter every read must match the engine's "
+            "configured read length " + std::to_string(expected));
+      }
+    }
+  }
+
   MappingStats stats;
   stats.reads = reads.size();
   if (index_.shard_count() > 1) {
@@ -174,137 +177,6 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   }
   WallTimer total;
   if (filter != nullptr && !filter->HasReference()) {
-    WallTimer prep;
-    filter->LoadReference(ref_.text());
-    stats.preprocess_seconds += prep.Seconds();
-  }
-
-  std::vector<bool> read_mapped(reads.size(), false);
-  const std::size_t batch_reads = std::max<std::size_t>(
-      1, filter != nullptr ? filter->config().max_reads_per_batch
-                           : config_.max_reads_per_batch);
-
-  // Batch read tables are *views* into the caller's read set — the
-  // filtration layer consumes string_views end to end, so no per-batch
-  // read strings are materialized (only the reverse complements, which
-  // genuinely are new sequences).
-  std::vector<std::string_view> batch;
-  std::vector<std::string> batch_rc;      // reverse complements
-  std::vector<CandidatePair> candidates;  // (read-in-batch, strand, position)
-  std::vector<OrientedCandidate> one_read_cands;
-  std::vector<std::int64_t> seed_scratch;
-
-  for (std::size_t base = 0; base < reads.size(); base += batch_reads) {
-    const std::size_t count = std::min(batch_reads, reads.size() - base);
-
-    // --- Seeding: fill the batch buffers (Sec. 3.5: "we fill the buffers
-    // with multiple reads and their candidate location indices"), both
-    // orientations per read. ---
-    WallTimer seed_timer;
-    batch.assign(reads.begin() + static_cast<std::ptrdiff_t>(base),
-                 reads.begin() + static_cast<std::ptrdiff_t>(base + count));
-    batch_rc.resize(count);
-    candidates.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      CollectCandidatesOriented(batch[i], &batch_rc[i], &seed_scratch,
-                                &one_read_cands);
-      for (const OrientedCandidate oc : one_read_cands) {
-        candidates.push_back(
-            {static_cast<std::uint32_t>(i), oc.strand, 0, oc.pos});
-      }
-    }
-    stats.seeding_seconds += seed_timer.Seconds();
-    stats.candidates_total += candidates.size();
-    if (!stats.shard_candidates.empty()) {
-      for (const CandidatePair& c : candidates) {
-        ++stats.shard_candidates[index_.plan().ShardOf(c.ref_pos)];
-      }
-    }
-
-    // --- Pre-alignment filtering (optional). ---
-    std::vector<PairResult> decisions;
-    if (filter != nullptr) {
-      const FilterRunStats fs =
-          filter->FilterCandidates(batch, candidates, &decisions);
-      stats.filter_seconds += fs.filter_seconds;
-      stats.filter_kernel_seconds += fs.kernel_seconds;
-      stats.filter_encode_seconds += fs.host_encode_seconds;
-      stats.filter_copy_seconds += fs.host_copy_seconds;
-      stats.rejected_pairs += fs.rejected;
-      stats.bypassed_pairs += fs.bypassed;
-    }
-
-    // --- Verification: banded edit distance on surviving pairs, each on
-    // the strand it was seeded on. ---
-    WallTimer verify_timer;
-    std::vector<MappingRecord> found(candidates.size(),
-                                     MappingRecord{0, 0, -1, 0});
-    std::atomic<std::uint64_t> verified{0};
-    verify_pool_->ParallelFor(0, candidates.size(), 256, [&](std::size_t i0,
-                                                             std::size_t i1) {
-      std::uint64_t local_verified = 0;
-      for (std::size_t i = i0; i < i1; ++i) {
-        if (filter != nullptr && decisions[i].accept == 0) continue;
-        ++local_verified;
-        const CandidatePair c = candidates[i];
-        const std::string_view read =
-            c.strand != 0 ? std::string_view(batch_rc[c.read_index])
-                          : batch[c.read_index];
-        const std::string_view segment(
-            ref_.text().data() + c.ref_pos, read.size());
-        const int dist =
-            BandedEditDistance(read, segment, config_.error_threshold);
-        if (dist >= 0) {
-          found[i] = MappingRecord{
-              static_cast<std::uint32_t>(base + c.read_index), c.ref_pos,
-              dist, c.strand};
-        }
-      }
-      verified.fetch_add(local_verified, std::memory_order_relaxed);
-    });
-    stats.verification_seconds += verify_timer.Seconds();
-    stats.verification_pairs += verified.load();
-
-    for (const MappingRecord& m : found) {
-      if (m.edit_distance < 0) continue;
-      ++stats.mappings;
-      read_mapped[m.read_index] = true;
-      if (out != nullptr) out->push_back(m);
-    }
-  }
-
-  stats.mapped_reads = static_cast<std::uint64_t>(
-      std::count(read_mapped.begin(), read_mapped.end(), true));
-  stats.total_seconds = total.Seconds();
-  PublishSeedObservability(stats);
-  return stats;
-}
-
-MappingStats ReadMapper::MapReadsStreaming(
-    const std::vector<std::string>& reads, GateKeeperGpuEngine* filter,
-    pipeline::PipelineConfig pcfg, std::vector<MappingRecord>* out) {
-  if (filter == nullptr) {
-    throw std::invalid_argument(
-        "MapReadsStreaming: the streaming path is the filter integration "
-        "and requires an engine");
-  }
-  const std::size_t expected =
-      static_cast<std::size_t>(filter->config().read_length);
-  for (const std::string& r : reads) {
-    if (r.size() != expected) {
-      throw std::invalid_argument(
-          "MapReadsStreaming: every read must match the engine's configured "
-          "read length " + std::to_string(expected));
-    }
-  }
-
-  MappingStats stats;
-  stats.reads = reads.size();
-  if (index_.shard_count() > 1) {
-    stats.shard_candidates.assign(index_.shard_count(), 0);
-  }
-  WallTimer total;
-  if (!filter->HasReference()) {
     WallTimer prep;
     filter->LoadReference(ref_.text());
     stats.preprocess_seconds += prep.Seconds();

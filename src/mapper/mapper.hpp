@@ -7,13 +7,15 @@
 //     -> verification (banded edit distance <= e)
 //     -> mapping records + the statistics Table 3 reports.
 //
-// Without a filter every candidate enters verification ("No Filter" rows);
-// with a filter only accepted + bypassed pairs do.
+// MapReads is the one single-end driver: seeding feeds the candidate-mode
+// StreamingPipeline, which filters, verifies and hands back mappings in
+// input order.  Without a filter the same pipeline sends every candidate
+// to verification ("No Filter" rows); with a filter only accepted +
+// bypassed pairs get there.
 #ifndef GKGPU_MAPPER_MAPPER_HPP
 #define GKGPU_MAPPER_MAPPER_HPP
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,10 +31,10 @@ struct MapperConfig {
   int k = 12;
   int read_length = 100;
   int error_threshold = 5;
-  /// Reads batched per filtering round (Table 1; 100,000 is the paper's
-  /// sweet spot).
-  std::size_t max_reads_per_batch = 100000;
-  unsigned verify_threads = 0;  // 0 = hardware concurrency
+  /// Read by nothing: verification threads are PipelineConfig::
+  /// verify_workers.  Kept only because perfbench/replay.cpp still assigns
+  /// it; drop both together.
+  unsigned verify_threads = 0;
   /// Seeding strategy: dense pigeonhole seeds (the mrFAST default) or
   /// (w,k) minimizer sampling (see mapper/minimizer.hpp).
   SeedMode seed_mode = SeedMode::kDense;
@@ -69,7 +71,6 @@ struct MappingStats {
   double filter_seconds = 0.0;         // total filtering ("ft")
   double filter_kernel_seconds = 0.0;  // device time only ("kt")
   double filter_encode_seconds = 0.0;  // host-side encoding within filtering
-  double filter_copy_seconds = 0.0;    // host-side buffer copies
   double verification_seconds = 0.0;   // the DP stage the filter offloads
   double total_seconds = 0.0;
 
@@ -99,31 +100,24 @@ class ReadMapper {
   /// the index is a view, the backing storage (the MappedIndexFile) must
   /// outlive the mapper.
   ReadMapper(ReferenceSet reference, SeedIndex index, MapperConfig config);
-  ~ReadMapper();
 
   const ReferenceSet& reference() const { return ref_; }
   std::string_view genome() const { return ref_.text(); }
   const MapperConfig& config() const { return config_; }
   const SeedIndex& index() const { return index_; }
 
-  /// Maps `reads`; when `filter` is non-null it is used as the
-  /// pre-alignment stage (the engine's reference is loaded on first use).
-  /// `out` (optional) receives every verified mapping.
+  /// Maps `reads` through seed lookup -> candidate filtration -> banded
+  /// verification on the candidate-mode StreamingPipeline.  When `filter`
+  /// is non-null it is the pre-alignment stage (its reference is loaded on
+  /// first use) and every read must match its configured read length;
+  /// when null every candidate is verified and reads may differ in length.
+  /// `pcfg` sizes batches and worker pools; its `reference_text`, `verify`
+  /// and `verify_threshold` are set by the mapper.  `out` (optional)
+  /// receives every verified mapping, in read order.
   MappingStats MapReads(const std::vector<std::string>& reads,
                         GateKeeperGpuEngine* filter,
+                        pipeline::PipelineConfig pcfg = {},
                         std::vector<MappingRecord>* out = nullptr);
-
-  /// Streaming mode: drives seed lookup -> candidate filtration -> banded
-  /// verification through the candidate-mode StreamingPipeline instead of
-  /// lockstep batches, producing the same mappings as MapReads in the same
-  /// order under bounded memory.  Requires `filter` (the streaming path is
-  /// the filter integration); every read must match the engine's
-  /// configured read length.  `pcfg.reference_text`, `verify` and
-  /// `verify_threshold` are set by the mapper.
-  MappingStats MapReadsStreaming(const std::vector<std::string>& reads,
-                                 GateKeeperGpuEngine* filter,
-                                 pipeline::PipelineConfig pcfg = {},
-                                 std::vector<MappingRecord>* out = nullptr);
 
   /// Seeding only, forward strand: candidate locations for one read
   /// (deduplicated, global coordinates, never spanning a chromosome
@@ -151,7 +145,6 @@ class ReadMapper {
   ReferenceSet ref_;
   MapperConfig config_;
   SeedIndex index_;
-  std::unique_ptr<ThreadPool> verify_pool_;
 };
 
 }  // namespace gkgpu

@@ -5,9 +5,9 @@
 // the runner-up is trustworthy, a read torn between equal repeat
 // placements is not, whatever the filter's false-accept rate did on the
 // way (SOAP3-dp derives per-read quality from exactly this score gap).
-// The model here is shared by every driver — blocking MapReads,
-// MapReadsStreaming, the FASTQ-to-SAM pipeline and both paired drivers —
-// so golden SAM files stay byte-identical across them:
+// The model here is shared by every driver — MapReads, the FASTQ-to-SAM
+// pipeline, the daemon and MapPairs — so golden SAM files stay
+// byte-identical across them:
 //
 //   * penalties are edit-based (see align/local.hpp's AlignmentScore
 //     scale): a placement's penalty is its edit count, a pair's the sum

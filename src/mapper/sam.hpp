@@ -96,8 +96,8 @@ void WriteSamLine(std::ostream& out, std::string_view read_name, int flags,
 
 /// Full-fidelity single record: recomputes the banded alignment of the
 /// oriented `seq` against `ref_window` (the reference bases the mapping
-/// covers) and emits the real CIGAR.  Shared by the blocking SAM writers
-/// and the streaming sink so both paths produce byte-identical records.
+/// covers) and emits the real CIGAR.  Shared by the record-list SAM
+/// writers and the streaming sink so both produce byte-identical records.
 void WriteSamAlignment(std::ostream& out, std::string_view read_name,
                        int flags, std::string_view seq,
                        std::string_view chrom_name, std::int64_t local_pos,

@@ -1,7 +1,6 @@
 #include "paired/paired.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -22,18 +21,16 @@
 #include "mapper/sam.hpp"
 #include "obs/names.hpp"
 #include "pipeline/candidate_packer.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace gkgpu {
 
 namespace {
 
-/// One pair's state from seeding to finalization, shared by the blocking
-/// and streaming drivers.  c1/c2 are the *pruned* oriented candidate
-/// lists; e1/e2 the banded edit distance per candidate (-1 = filter
-/// rejected or verification refuted), filled by whichever driver ran the
-/// filtration.
+/// One pair's state from seeding to finalization.  c1/c2 are the *pruned*
+/// oriented candidate lists; e1/e2 the banded edit distance per candidate
+/// (-1 = filter rejected or verification refuted), filled from the
+/// pipeline's verified batches.
 struct PairTask {
   FastqRecord r1, r2;
   std::string rc1, rc2;  // reverse complements (verification + SAM)
@@ -212,9 +209,9 @@ EditSummary Summarize(const std::vector<MateBest>& v) {
 }
 
 /// Everything FinalizePair needs besides the pair itself.  One instance
-/// per mapping run; finalization happens strictly in pair input order in
-/// both drivers, so the model evolves identically and the SAM output is
-/// byte-identical.
+/// per mapping run; finalization happens strictly in pair input order, so
+/// the model evolves identically run to run and the SAM output does not
+/// depend on batching or threading.
 struct PairFinalizer {
   const ReadMapper* mapper = nullptr;
   const PairedConfig* cfg = nullptr;
@@ -233,8 +230,7 @@ struct PairFinalizer {
   /// True (and remembers the signature) when this proper pair's fragment —
   /// keyed on (chromosome, position, strand, TLEN) — was already seen, so
   /// the later copy is the duplicate.  Finalization runs strictly in pair
-  /// input order in both drivers, so marking is deterministic and
-  /// identical across them.
+  /// input order, so marking is deterministic.
   /// When optical_dup_distance > 0 and the later copy's tile:x:y sits
   /// within that many pixels of an earlier copy on the same tile, *optical
   /// is set (the record is still a duplicate either way).
@@ -286,7 +282,7 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
 /// whole window replaces the per-offset banded scans, recovers placements
 /// whose reference span differs from the read length (indels the fixed
 /// L-wide windows could never fit), and yields the CIGAR directly from
-/// the traceback.  Deterministic, so both drivers rescue identically.
+/// the traceback.  Deterministic, so every run rescues identically.
 MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
                                const std::string& rc) {
   const ReferenceSet& ref = mapper->reference();
@@ -719,23 +715,18 @@ void PairFinalizer::Finalize(const PairTask& task) {
 }  // namespace
 
 PairedEndMapper::PairedEndMapper(const ReadMapper& mapper, PairedConfig config)
-    : mapper_(mapper),
-      config_(std::move(config)),
-      verify_pool_(std::make_unique<ThreadPool>(mapper.config().verify_threads,
-                                                "gkgpu-pverify")) {
+    : mapper_(mapper), config_(std::move(config)) {
   // A fragment must at least cover one read; a smaller bound would make
   // every pair discordant and silently disable the prune.
   config_.max_insert =
       std::max<std::int64_t>(config_.max_insert, mapper.config().read_length);
 }
 
-PairedEndMapper::~PairedEndMapper() = default;
-
 namespace {
 
 // Folds one paired run's totals into the process funnel: seeding,
 // insert-window pruning, SW mate rescues, and per-mate mapped/unmapped
-// terminals.  Called once per driver, batch-granular by construction.
+// terminals.  Called once per run, batch-granular by construction.
 void RecordPairedFunnel(const PairedStats& stats) {
   if (!obs::Enabled()) return;
   obs::CandidatesSeeded().Inc(stats.candidates_seeded);
@@ -751,170 +742,22 @@ void RecordPairedFunnel(const PairedStats& stats) {
 
 }  // namespace
 
-PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
-                                      const std::vector<FastqRecord>& r2,
-                                      GateKeeperGpuEngine* filter,
+PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
+                                      GateKeeperGpuEngine* engine,
+                                      pipeline::PipelineConfig pcfg,
                                       std::ostream* sam) {
-  if (r1.size() != r2.size()) {
-    throw std::invalid_argument(
-        "PairedEndMapper: R1 and R2 record counts differ (" +
-        std::to_string(r1.size()) + " vs " + std::to_string(r2.size()) + ")");
-  }
   const int L = mapper_.config().read_length;
   const int e = mapper_.config().error_threshold;
-  if (filter != nullptr && filter->config().read_length != L) {
+  if (engine != nullptr && engine->config().read_length != L) {
     throw std::invalid_argument(
-        "PairedEndMapper: engine read length != mapper read length");
-  }
-
-  PairedStats stats;
-  stats.pairs = r1.size();
-  WallTimer total;
-  if (filter != nullptr && !filter->HasReference()) {
-    filter->LoadReference(mapper_.genome());
-  }
-
-  PairFinalizer fin;
-  fin.mapper = &mapper_;
-  fin.cfg = &config_;
-  fin.L = L;
-  fin.e = e;
-  fin.model = InsertSizeModel(config_.min_model_observations);
-  fin.stats = &stats;
-  fin.sam = sam;
-
-  const std::size_t batch_pairs =
-      std::max<std::size_t>(1, config_.max_pairs_per_batch);
-  std::vector<PairTask> tasks;
-  // Distinct mate sequences of the batch, as views into the (stable)
-  // seeded tasks — both mates' pruned candidates flow through one
-  // filtration round with no per-mate string materialization.
-  std::vector<std::string_view> table;
-  std::vector<CandidatePair> candidates;
-  struct CandRef {
-    std::uint32_t task;
-    std::uint8_t mate;
-    std::uint32_t slot;  // index into the mate's candidate list
-  };
-  std::vector<CandRef> provenance;
-  std::vector<std::int64_t> seed_scratch;
-  const std::string_view genome = mapper_.genome();
-
-  for (std::size_t base = 0; base < r1.size(); base += batch_pairs) {
-    const std::size_t count = std::min(batch_pairs, r1.size() - base);
-    tasks.clear();
-    table.clear();
-    candidates.clear();
-    provenance.clear();
-
-    // --- Seeding + pairing prune. ---
-    WallTimer seed_timer;
-    for (std::size_t i = 0; i < count; ++i) {
-      PairTask t;
-      t.r1 = r1[base + i];
-      t.r2 = r2[base + i];
-      if (!PairedFastqReader::NamesMatch(t.r1.name, t.r2.name)) {
-        throw std::invalid_argument(
-            "PairedEndMapper: mate name mismatch at pair " +
-            std::to_string(base + i) + ": '" + t.r1.name + "' vs '" +
-            t.r2.name + "'");
-      }
-      SeedPairTask(mapper_, L, config_.max_insert, &seed_scratch, &t);
-      stats.candidates_seeded += t.seeded;
-      stats.candidates_paired += t.c1.size() + t.c2.size();
-      tasks.push_back(std::move(t));
-    }
-    // The table views point into `tasks`, so it is built only after the
-    // batch's tasks stopped moving (vector growth relocates elements).
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const PairTask& t = tasks[i];
-      for (int mate = 0; mate < 2; ++mate) {
-        const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
-        if (c.empty()) continue;
-        table.push_back(mate == 0 ? std::string_view(t.r1.seq)
-                                  : std::string_view(t.r2.seq));
-        const std::uint32_t ri = static_cast<std::uint32_t>(table.size() - 1);
-        for (std::size_t j = 0; j < c.size(); ++j) {
-          candidates.push_back({ri, c[j].strand, 0, c[j].pos});
-          provenance.push_back({static_cast<std::uint32_t>(i),
-                                static_cast<std::uint8_t>(mate),
-                                static_cast<std::uint32_t>(j)});
-        }
-      }
-    }
-    stats.seeding_seconds += seed_timer.Seconds();
-
-    // --- Pre-alignment filtering on the surviving candidates. ---
-    std::vector<PairResult> decisions;
-    if (filter != nullptr) {
-      const FilterRunStats fs =
-          filter->FilterCandidates(table, candidates, &decisions);
-      stats.filter_seconds += fs.filter_seconds;
-      stats.kernel_seconds += fs.kernel_seconds;
-      stats.rejected_pairs += fs.rejected;
-      stats.bypassed_pairs += fs.bypassed;
-    }
-
-    // --- Verification, each candidate on its seeded strand. ---
-    WallTimer verify_timer;
-    std::atomic<std::uint64_t> verified{0};
-    verify_pool_->ParallelFor(
-        0, candidates.size(), 256, [&](std::size_t i0, std::size_t i1) {
-          BandedVerifier verifier;
-          std::uint64_t local = 0;
-          for (std::size_t i = i0; i < i1; ++i) {
-            if (filter != nullptr && decisions[i].accept == 0) continue;
-            ++local;
-            const CandRef pr = provenance[i];
-            PairTask& t = tasks[pr.task];
-            const OrientedCandidate oc =
-                (pr.mate == 0 ? t.c1 : t.c2)[pr.slot];
-            const std::string& oriented =
-                oc.strand != 0 ? (pr.mate == 0 ? t.rc1 : t.rc2)
-                               : (pr.mate == 0 ? t.r1.seq : t.r2.seq);
-            const std::string_view window(
-                genome.data() + oc.pos, static_cast<std::size_t>(L));
-            (pr.mate == 0 ? t.e1 : t.e2)[pr.slot] =
-                verifier.Distance(oriented, window, e);
-          }
-          verified.fetch_add(local, std::memory_order_relaxed);
-        });
-    stats.verification_pairs += verified.load();
-    stats.verify_seconds += verify_timer.Seconds();
-
-    // --- Finalization, strictly in pair input order. ---
-    WallTimer fin_timer;
-    for (const PairTask& t : tasks) fin.Finalize(t);
-    stats.finalize_seconds += fin_timer.Seconds();
-  }
-
-  stats.insert_mean = fin.model.mean();
-  stats.insert_sigma = fin.model.sigma();
-  stats.insert_observations = fin.model.count();
-  stats.total_seconds = total.Seconds();
-  RecordPairedFunnel(stats);
-  return stats;
-}
-
-PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
-                                               GateKeeperGpuEngine* engine,
-                                               pipeline::PipelineConfig pcfg,
-                                               std::ostream* sam) {
-  if (engine == nullptr) {
-    throw std::invalid_argument(
-        "MapPairsStreaming: the streaming path is the filter integration "
-        "and requires an engine");
-  }
-  const int L = mapper_.config().read_length;
-  const int e = mapper_.config().error_threshold;
-  if (engine->config().read_length != L) {
-    throw std::invalid_argument(
-        "MapPairsStreaming: engine read length != mapper read length");
+        "MapPairs: engine read length != mapper read length");
   }
 
   PairedStats stats;
   WallTimer total;
-  if (!engine->HasReference()) engine->LoadReference(mapper_.genome());
+  if (engine != nullptr && !engine->HasReference()) {
+    engine->LoadReference(mapper_.genome());
+  }
 
   pcfg.reference_text = mapper_.genome();
   pcfg.reference_fingerprint = mapper_.reference().fingerprint();
@@ -1044,8 +887,8 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
         p->e2[p->received2++] = batch.edits[i];
       }
     }
-    // Finalize every leading pair whose candidates all arrived — strict
-    // input order, exactly like the blocking driver.
+    // Finalize every leading pair whose candidates all arrived, strictly
+    // in input order.
     for (;;) {
       Pending done;
       {
@@ -1085,16 +928,6 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   stats.total_seconds = total.Seconds();
   RecordPairedFunnel(stats);
   return stats;
-}
-
-PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
-                                   const ReadMapper& mapper,
-                                   GateKeeperGpuEngine* engine,
-                                   const PairedConfig& config,
-                                   pipeline::PipelineConfig pcfg,
-                                   std::ostream* sam) {
-  PairedEndMapper paired(mapper, config);
-  return paired.MapPairsStreaming(reader, engine, std::move(pcfg), sam);
 }
 
 }  // namespace gkgpu

@@ -35,16 +35,14 @@
 //     0x40/0x80 (+0x400), RNEXT/PNEXT/TLEN, reverse-complemented SEQ and
 //     reversed QUAL on strand-flipped records, NM and RG:Z tags.
 //
-// Two drivers share one finalization path, so their SAM output is
-// byte-identical: MapPairs (blocking, batch-at-a-time) and
-// MapPairsStreaming (the bounded-memory streaming pipeline with an
-// ordered pair sink).
+// One driver, MapPairs, runs every paired mapping: it streams pairs from a
+// PairedFastqReader through the candidate-mode StreamingPipeline (with or
+// without a filter) into an ordered pair sink, under bounded memory.
 #ifndef GKGPU_PAIRED_PAIRED_HPP
 #define GKGPU_PAIRED_PAIRED_HPP
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,9 +79,6 @@ struct PairedConfig {
   /// Read-group ID: adds RG:Z:<id> to every record ("" = none).  The @RG
   /// header line is the caller's (WriteSamHeader's read_group parameter).
   std::string read_group;
-  /// Pairs per blocking batch (both mates' candidates share one
-  /// filtration round).
-  std::size_t max_pairs_per_batch = 50000;
 };
 
 struct PairedStats {
@@ -125,7 +120,6 @@ struct PairedStats {
   double filter_seconds = 0.0;
   double kernel_seconds = 0.0;
   double verify_seconds = 0.0;
-  double finalize_seconds = 0.0;
   double total_seconds = 0.0;
 
   /// How many times fewer (read, reference) pairs the verifier faced than
@@ -145,44 +139,24 @@ class PairedEndMapper {
   /// seeding; both must outlive this object.  The mapper's read_length /
   /// error_threshold govern both mates.
   PairedEndMapper(const ReadMapper& mapper, PairedConfig config);
-  ~PairedEndMapper();
 
   const PairedConfig& config() const { return config_; }
 
-  /// Blocking path: maps r1[i] with r2[i] (equal sizes; mate names must
-  /// match), optionally pre-filtering candidates through `filter`, and
-  /// writes two SAM records per pair to `sam` (may be null for stats
-  /// only; the header is the caller's).  Pairs whose mates are not the
-  /// configured read length are emitted unmapped.
-  PairedStats MapPairs(const std::vector<FastqRecord>& r1,
-                       const std::vector<FastqRecord>& r2,
-                       GateKeeperGpuEngine* filter, std::ostream* sam);
-
-  /// Streaming path: consumes `reader` through the candidate-mode
-  /// StreamingPipeline (filtration against the per-device encoded
-  /// reference, banded verification in the worker pool) with an ordered
-  /// pair sink — byte-identical SAM to MapPairs under bounded memory.
-  /// `engine` is required; `pcfg.reference_text`, `verify` and
-  /// `verify_threshold` are set by the mapper.
-  PairedStats MapPairsStreaming(PairedFastqReader& reader,
-                                GateKeeperGpuEngine* engine,
-                                pipeline::PipelineConfig pcfg,
-                                std::ostream* sam);
+  /// Consumes `reader` through the candidate-mode StreamingPipeline with
+  /// an ordered pair sink and writes two SAM records per pair to `sam`
+  /// (may be null for stats only; the header is the caller's).  When
+  /// `engine` is non-null it pre-filters candidates against its encoded
+  /// reference (loaded on first use); when null every candidate is
+  /// verified.  Pairs whose mates are not the configured read length are
+  /// emitted unmapped.  `pcfg` sizes batches and worker pools; its
+  /// `reference_text`, `verify` and `verify_threshold` are set here.
+  PairedStats MapPairs(PairedFastqReader& reader, GateKeeperGpuEngine* engine,
+                       pipeline::PipelineConfig pcfg, std::ostream* sam);
 
  private:
   const ReadMapper& mapper_;
   PairedConfig config_;
-  std::unique_ptr<ThreadPool> verify_pool_;
 };
-
-/// Convenience front end mirroring StreamFastqToSam: paired FASTQ in,
-/// ordered paired SAM out, on the streaming pipeline.
-PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
-                                   const ReadMapper& mapper,
-                                   GateKeeperGpuEngine* engine,
-                                   const PairedConfig& config,
-                                   pipeline::PipelineConfig pcfg,
-                                   std::ostream* sam);
 
 }  // namespace gkgpu
 

@@ -38,7 +38,7 @@ struct AdaptiveBatcherConfig {
   double backpressure_watermark = 0.75;
 };
 
-/// Tuning preset for the paired streaming driver (MapPairsStreaming).
+/// Tuning preset for the paired driver (PairedEndMapper::MapPairs).
 /// The paired path differs from single-end streaming in two ways that
 /// shift the sweet spot:
 ///

@@ -42,7 +42,13 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
   config_.slots_per_device = std::max(1, config_.slots_per_device);
 
   const bool cand_mode = !config_.reference_text.empty();
-  if (cand_mode) {
+  if (engine_ == nullptr) {
+    if (!cand_mode || config_.verify_threshold < 0) {
+      throw std::invalid_argument(
+          "pipeline: without an engine the pipeline needs candidate mode and "
+          "an explicit verify threshold");
+    }
+  } else if (cand_mode) {
     // Content check, not just length: an engine reused across same-length
     // genomes would otherwise silently filter against the wrong one.
     const std::uint64_t fp = config_.reference_fingerprint != 0
@@ -71,11 +77,12 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
     capacity_request = a.max_size;
   }
   const std::size_t capacity =
-      cand_mode ? engine_->PrepareCandidateStreaming(capacity_request,
-                                                     capacity_request,
-                                                     config_.slots_per_device)
-                : engine_->PrepareStreaming(capacity_request,
-                                            config_.slots_per_device);
+      engine_ == nullptr ? capacity_request
+      : cand_mode ? engine_->PrepareCandidateStreaming(
+                        capacity_request, capacity_request,
+                        config_.slots_per_device)
+                  : engine_->PrepareStreaming(capacity_request,
+                                              config_.slots_per_device);
   config_.batch_size = capacity;
   if (config_.adaptive) {
     AdaptiveBatcherConfig& a = config_.adaptive_config;
@@ -87,7 +94,11 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
 
 PipelineStats StreamingPipeline::Run(const BatchSource& source,
                                      const BatchSink& sink) {
-  const int ndev = engine_->device_count();
+  // Without an engine the encode and filtration stages have no workers:
+  // the source hands batches straight to verification.
+  const bool filtered = engine_ != nullptr;
+  const int ndev = filtered ? engine_->device_count() : 0;
+  const int encode_workers = filtered ? config_.encode_workers : 0;
   const std::size_t capacity = config_.batch_size;
   const bool cand_mode = !config_.reference_text.empty();
   const std::int64_t ref_len =
@@ -113,6 +124,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   }
   BoundedQueue<PairBatch> q_filtered(config_.queue_depth);
   BoundedQueue<PairBatch> q_done(config_.queue_depth);
+  BoundedQueue<PairBatch>& q_source = filtered ? q_in : q_filtered;
 
   // --- Shutdown / error propagation ------------------------------------
   std::mutex err_mu;
@@ -135,7 +147,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   // --- Stage accounting -------------------------------------------------
   std::mutex stats_mu;
   StageStats source_stage{"source", 1, 0, 0, 0.0};
-  StageStats encode_stage{"encode", config_.encode_workers, 0, 0, 0.0};
+  StageStats encode_stage{"encode", encode_workers, 0, 0, 0.0};
   StageStats filter_stage{"filter", ndev, 0, 0, 0.0};
   StageStats verify_stage{"verify", config_.verify_workers, 0, 0, 0.0};
   StageStats sink_stage{"sink", 1, 0, 0, 0.0};
@@ -149,7 +161,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   std::vector<double> device_kt(static_cast<std::size_t>(ndev), 0.0);
   std::vector<double> device_tr(static_cast<std::size_t>(ndev), 0.0);
 
-  std::atomic<int> encoders_left{config_.encode_workers};
+  std::atomic<int> encoders_left{encode_workers};
   std::atomic<int> drivers_left{ndev};
   std::atomic<int> verifiers_left{config_.verify_workers};
 
@@ -179,8 +191,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
       std::uint64_t items = 0;
       std::size_t size_min = 0;
       std::size_t size_max = 0;
-      const auto expected =
-          static_cast<std::size_t>(engine_->config().read_length);
+      const auto expected = static_cast<std::size_t>(
+          filtered ? engine_->config().read_length : 0);
       for (;;) {
         PairBatch batch;
         batch.seq = seq;
@@ -190,8 +202,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           // Feed occupancy: batches buffered ahead of the devices (the
           // source queue plus every per-device encoded queue).  Sink
           // occupancy: the verified queue the ordered sink drains.
-          std::size_t feed_items = q_in.size();
-          std::size_t feed_cap = q_in.capacity();
+          std::size_t feed_items = q_source.size();
+          std::size_t feed_cap = q_source.capacity();
           for (const auto& q : q_ready) {
             feed_items += q->size();
             feed_cap += q->capacity();
@@ -227,23 +239,24 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
                 "capacity");
           }
           // The slot encoders stride the read buffer by the configured
-          // read length, and the kernel slices [ref_pos, ref_pos + L) from
-          // the encoded genome; both must be validated before encoding.
+          // read length, and the kernel and the verifier slice
+          // [ref_pos, ref_pos + read length) from the genome; both must be
+          // validated before encoding.
           for (const std::string& r : batch.cand_reads) {
-            if (r.size() != expected) {
+            if (filtered && r.size() != expected) {
               throw std::runtime_error(
                   "pipeline source: read length != configured read length " +
                   std::to_string(expected));
             }
           }
-          const std::int64_t max_pos =
-              ref_len - static_cast<std::int64_t>(expected);
           for (const CandidatePair& c : batch.candidates) {
             if (c.read_index >= batch.cand_reads.size()) {
               throw std::runtime_error(
                   "pipeline source: candidate read_index out of range");
             }
-            if (c.ref_pos < 0 || c.ref_pos > max_pos) {
+            const auto length = static_cast<std::int64_t>(
+                batch.cand_reads[c.read_index].size());
+            if (c.ref_pos < 0 || c.ref_pos > ref_len - length) {
               throw std::runtime_error(
                   "pipeline source: candidate reference offset out of range");
             }
@@ -272,6 +285,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
             }
           }
         }
+        // No filter: every candidate is accepted.
+        if (!filtered) batch.results.assign(batch.size(), PairResult{1, 0, 0});
         ++seq;
         first_pair += batch.size();
         batches += 1;
@@ -279,13 +294,14 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
         size_min = size_min == 0 ? batch.size()
                                  : std::min(size_min, batch.size());
         size_max = std::max(size_max, batch.size());
-        if (!q_in.Push(std::move(batch))) break;  // aborted downstream
+        if (!q_source.Push(std::move(batch))) break;  // aborted downstream
       }
-      q_in.Close();
+      q_source.Close();
       std::lock_guard<std::mutex> lk(stats_mu);
       source_stage.busy_seconds += busy;
       source_stage.batches += batches;
       source_stage.items += items;
+      if (!filtered) stats.accepted += items;
       stats.batch_size_min = size_min;
       stats.batch_size_max = size_max;
     } catch (...) {
@@ -294,7 +310,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   });
 
   // --- Stage 2: encode pool --------------------------------------------
-  for (int w = 0; w < config_.encode_workers; ++w) {
+  for (int w = 0; w < encode_workers; ++w) {
     threads.emplace_back([&, w] {
       util::SetCurrentThreadName("gkgpu-encode" + std::to_string(w));
       double busy = 0.0;
@@ -448,8 +464,6 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           if (config_.verify) {
             WallTimer t;
             obs::Span span("verify", "pipeline");
-            const std::size_t L =
-                static_cast<std::size_t>(engine_->config().read_length);
             if (config_.emit_cigar) batch->cigars.assign(n, {});
             for (std::size_t i = 0; i < n; ++i) {
               if (!batch->results[i].accept) continue;
@@ -472,7 +486,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
                   read = batch->cand_reads[c.read_index];
                 }
                 window = config_.reference_text.substr(
-                    static_cast<std::size_t>(c.ref_pos), L);
+                    static_cast<std::size_t>(c.ref_pos), read.size());
               } else {
                 read = batch->reads[i];
                 window = batch->refs[i];

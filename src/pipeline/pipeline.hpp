@@ -34,6 +34,12 @@
 // genome and verified against windows of the host reference text, with no
 // per-candidate segment strings anywhere.  PipelineConfig::adaptive lets
 // the source resize batches from queue occupancy (see adaptive.hpp).
+//
+// Built without an engine, the pipeline runs no filter: candidate batches
+// skip the encode and filtration stages and every candidate goes straight
+// to verification, with each window as long as its read.  That is the
+// "No Filter" baseline of the same driver, so filter on vs off is one
+// pipeline run both ways.
 #ifndef GKGPU_PIPELINE_PIPELINE_HPP
 #define GKGPU_PIPELINE_PIPELINE_HPP
 
@@ -61,7 +67,8 @@ struct PipelineConfig {
   int slots_per_device = 2;
   /// Run the verification stage (banded alignment on accepts/bypasses).
   bool verify = true;
-  /// Banded-alignment threshold; -1 uses the engine's error threshold.
+  /// Banded-alignment threshold; -1 uses the engine's error threshold
+  /// (a pipeline without an engine needs an explicit one).
   int verify_threshold = -1;
   /// Have the verification workers also produce each confirmed pair's
   /// CIGAR (PairBatch::cigars), so SAM sinks write lines without redoing
@@ -154,7 +161,9 @@ using BatchSink = std::function<void(PairBatch&& batch)>;
 class StreamingPipeline {
  public:
   /// The engine is borrowed and must outlive the pipeline.  Its devices
-  /// define the filtration shard set.
+  /// define the filtration shard set.  A null engine runs no filter; it
+  /// requires candidate mode and a verify_threshold >= 0 and throws
+  /// std::invalid_argument otherwise.
   StreamingPipeline(GateKeeperGpuEngine* engine, PipelineConfig config);
 
   const PipelineConfig& config() const { return config_; }

@@ -35,12 +35,12 @@ struct ReadToSamConfig {
   /// MAPQ ceiling (mapper/mapq.hpp): the sink buffers each read's
   /// verified mappings until its multiplicity is complete
   /// (PairBatch::last_of_read), scores them with AssignMapqs, and emits —
-  /// the same computation the blocking writers run, so golden SAMs stay
+  /// the same computation the record-list writers run, so golden SAMs stay
   /// byte-identical across drivers.
   int mapq_cap = kDefaultMapqCap;
   /// Multi-mapping output mode (mapper/sam.hpp): best-only (default) or
   /// report-secondary (FLAG 0x100, MAPQ 0) — identical semantics to the
-  /// blocking record writers.  CLI --report-secondary.
+  /// record-list writers.  CLI --report-secondary.
   SecondaryPolicy secondary = SecondaryPolicy::kBestOnly;
 };
 

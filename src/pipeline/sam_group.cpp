@@ -26,7 +26,7 @@ std::size_t SamGroupBuffer::FlushGroup(std::ostream& out,
   if (group_.empty()) return 0;
   // One summary scan gives the primary record and its MAPQ (every other
   // placement scores 0), then primary-only or everything-with-secondaries-
-  // flagged, exactly like the blocking record writers.
+  // flagged, exactly like the record-list writers.
   group_edits_.clear();
   for (const GroupRecord& g : group_) group_edits_.push_back(g.edits);
   const EditSummary s = SummarizeEdits(group_edits_);

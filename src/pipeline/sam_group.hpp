@@ -2,7 +2,7 @@
 // sink.  Verified mappings buffer until the read's last candidate retires
 // (PairBatch::last_of_read) — only then is the read's multiplicity known
 // and its records scorable — and the flush runs the exact computation of
-// the blocking writers (SummarizeEdits -> PrimaryIndex -> ComputeMapq ->
+// the record-list writers (SummarizeEdits -> PrimaryIndex -> ComputeMapq ->
 // WriteSamLine under the secondary policy).  StreamFastqToSam and the
 // daemon's per-session demultiplexer both format through this one class,
 // which is what keeps served output byte-identical to a standalone run.
@@ -37,7 +37,7 @@ class SamGroupBuffer {
 
   /// Buffers batch entry `i` (must be a verified mapping: edits[i] >= 0).
   /// Reverse-strand mappings store FLAG 0x10 and the reverse-complemented
-  /// sequence, the bytes the blocking writers produce.  Consumes
+  /// sequence, the bytes the record-list writers produce.  Consumes
   /// batch.cigars[i].
   void AddMapping(PairBatch& batch, std::size_t i);
 

@@ -197,12 +197,11 @@ TEST(EdgeCaseTest, MapperHandlesReadsWithNs) {
   cfg.k = 10;
   cfg.read_length = 100;
   cfg.error_threshold = 2;
-  cfg.verify_threads = 2;
   ReadMapper mapper(genome, cfg);
   // A read of pure 'N' seeds nothing and maps nowhere, without crashing.
   std::vector<std::string> reads{std::string(100, 'N'),
                                  genome.substr(5000, 100)};
-  const MappingStats stats = mapper.MapReads(reads, nullptr, nullptr);
+  const MappingStats stats = mapper.MapReads(reads, nullptr);
   EXPECT_GE(stats.mapped_reads, 1u);
   EXPECT_LE(stats.mapped_reads, 2u);
 }
@@ -215,13 +214,12 @@ TEST(EdgeCaseTest, MapperHandlesForeignReads) {
   cfg.k = 12;
   cfg.read_length = 100;
   cfg.error_threshold = 2;
-  cfg.verify_threads = 2;
   ReadMapper mapper(genome, cfg);
   std::vector<std::string> reads;
   for (int i = 0; i < 20; ++i) {
     reads.push_back(other.substr(static_cast<std::size_t>(i) * 1000, 100));
   }
-  const MappingStats stats = mapper.MapReads(reads, nullptr, nullptr);
+  const MappingStats stats = mapper.MapReads(reads, nullptr);
   EXPECT_EQ(stats.mappings, 0u);
   EXPECT_EQ(stats.mapped_reads, 0u);
 }

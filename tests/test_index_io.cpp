@@ -137,7 +137,7 @@ TEST_F(IndexIoTest, MappedMapperProducesIdenticalSam) {
 
   const auto render = [&](ReadMapper& mapper) {
     std::vector<MappingRecord> records;
-    mapper.MapReads(reads, nullptr, &records);
+    mapper.MapReads(reads, nullptr, {}, &records);
     std::ostringstream sam;
     WriteSamHeader(sam, mapper.reference(), "");
     WriteSamRecordsMultiChrom(sam, reads, names, records,
@@ -308,7 +308,7 @@ TEST_F(IndexIoTest, MultiShardRoundTripMatchesMonolithicSam) {
   mcfg.error_threshold = 3;
   const auto render = [&](ReadMapper& mapper) {
     std::vector<MappingRecord> records;
-    mapper.MapReads(reads, nullptr, &records);
+    mapper.MapReads(reads, nullptr, {}, &records);
     std::ostringstream sam;
     WriteSamHeader(sam, mapper.reference(), "");
     WriteSamRecordsMultiChrom(sam, reads, names, records,

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "encode/revcomp.hpp"
 #include "mapper/sam.hpp"
@@ -39,7 +40,6 @@ struct MapperFixture {
     f.config.k = 10;
     f.config.read_length = read_length;
     f.config.error_threshold = e;
-    f.config.verify_threads = 4;
     return f;
   }
 };
@@ -94,10 +94,9 @@ TEST(MapperTest, MapsErrorFreeReadsToTheirOrigin) {
   cfg.k = 10;
   cfg.read_length = 100;
   cfg.error_threshold = 2;
-  cfg.verify_threads = 4;
   ReadMapper mapper(genome, cfg);
   std::vector<MappingRecord> records;
-  const MappingStats stats = mapper.MapReads(reads, nullptr, &records);
+  const MappingStats stats = mapper.MapReads(reads, nullptr, {}, &records);
   EXPECT_EQ(stats.mapped_reads, reads.size());
   // Every read's true origin must be among its reported mappings.
   for (std::size_t i = 0; i < sim.size(); ++i) {
@@ -135,7 +134,8 @@ TEST_P(MapperFilterIntegration, FilterLosesNoMappingsAndReducesWork) {
   ReadMapper mapper(f.genome, f.config);
 
   std::vector<MappingRecord> unfiltered;
-  const MappingStats no_filter = mapper.MapReads(f.reads, nullptr, &unfiltered);
+  const MappingStats no_filter =
+      mapper.MapReads(f.reads, nullptr, {}, &unfiltered);
 
   auto devices =
       setup == 1 ? gpusim::MakeSetup1(1, 4) : gpusim::MakeSetup2(1, 4);
@@ -145,7 +145,8 @@ TEST_P(MapperFilterIntegration, FilterLosesNoMappingsAndReducesWork) {
   ecfg.error_threshold = f.config.error_threshold;
   GateKeeperGpuEngine engine(ecfg, ptrs);
   std::vector<MappingRecord> filtered;
-  const MappingStats with_filter = mapper.MapReads(f.reads, &engine, &filtered);
+  const MappingStats with_filter =
+      mapper.MapReads(f.reads, &engine, {}, &filtered);
 
   // The paper's Table 3 invariant: identical mappings and mapped reads.
   EXPECT_EQ(with_filter.mappings, no_filter.mappings);
@@ -188,14 +189,50 @@ TEST(MapperTest, BatchSizeDoesNotChangeResults) {
     EngineConfig ecfg;
     ecfg.read_length = f.config.read_length;
     ecfg.error_threshold = f.config.error_threshold;
-    ecfg.max_reads_per_batch = batch;
     GateKeeperGpuEngine engine(ecfg, ptrs);
     ReadMapper mapper(f.genome, f.config);
-    const MappingStats s = mapper.MapReads(f.reads, &engine, nullptr);
+    pipeline::PipelineConfig pcfg;
+    pcfg.batch_size = batch;
+    const MappingStats s = mapper.MapReads(f.reads, &engine, pcfg);
     mapping_counts.push_back(s.mappings);
   }
   EXPECT_EQ(mapping_counts[0], mapping_counts[1]);
   EXPECT_EQ(mapping_counts[1], mapping_counts[2]);
+}
+
+TEST(MapperTest, ReadLengthIsFixedOnlyWithAFilter) {
+  // Without a filter each candidate window is as long as its read, so a
+  // mixed-length read set maps; with the engine every read must match its
+  // configured read length.
+  const std::string genome = GenerateGenome(100000, 53);
+  MapperConfig cfg;
+  cfg.k = 10;
+  cfg.read_length = 100;
+  cfg.error_threshold = 2;
+  ReadMapper mapper(genome, cfg);
+  const std::vector<std::string> reads{genome.substr(3000, 100),
+                                       genome.substr(9000, 70)};
+  ASSERT_EQ(reads[0].find('N'), std::string::npos);
+  ASSERT_EQ(reads[1].find('N'), std::string::npos);
+  std::vector<MappingRecord> records;
+  const MappingStats stats = mapper.MapReads(reads, nullptr, {}, &records);
+  EXPECT_EQ(stats.mapped_reads, 2u);
+  const auto maps_at = [&](std::uint32_t read, std::int64_t pos) {
+    return std::any_of(records.begin(), records.end(),
+                       [&](const MappingRecord& m) {
+                         return m.read_index == read && m.pos == pos &&
+                                m.edit_distance == 0;
+                       });
+  };
+  EXPECT_TRUE(maps_at(0, 3000));
+  EXPECT_TRUE(maps_at(1, 9000));
+
+  auto devices = gpusim::MakeSetup1(1, 4);
+  EngineConfig ecfg;
+  ecfg.read_length = cfg.read_length;
+  ecfg.error_threshold = cfg.error_threshold;
+  GateKeeperGpuEngine engine(ecfg, {devices[0].get()});
+  EXPECT_THROW(mapper.MapReads(reads, &engine), std::invalid_argument);
 }
 
 // ---------------------------------------------------- strand awareness --
@@ -214,9 +251,10 @@ TEST(MapperTest, ReverseStrandReadsMapAtParityWithForwardReads) {
 
   std::vector<MappingRecord> fwd_records;
   std::vector<MappingRecord> rev_records;
-  const MappingStats fwd = mapper.MapReads(f.reads, nullptr, &fwd_records);
+  const MappingStats fwd =
+      mapper.MapReads(f.reads, nullptr, {}, &fwd_records);
   const MappingStats rev =
-      mapper.MapReads(reverse_reads, nullptr, &rev_records);
+      mapper.MapReads(reverse_reads, nullptr, {}, &rev_records);
 
   EXPECT_GT(fwd.mapped_reads, 0u);
   EXPECT_EQ(rev.mapped_reads, fwd.mapped_reads);
@@ -255,7 +293,7 @@ TEST(MapperTest, ReverseStrandMappingEmitsFlag16AndRevCompSeq) {
   cfg.error_threshold = 2;
   ReadMapper mapper(genome, cfg);
   std::vector<MappingRecord> records;
-  mapper.MapReads({read}, nullptr, &records);
+  mapper.MapReads({read}, nullptr, {}, &records);
   ASSERT_FALSE(records.empty());
   const auto at_origin =
       std::find_if(records.begin(), records.end(),

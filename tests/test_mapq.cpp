@@ -25,6 +25,7 @@
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
 #include "paired/paired.hpp"
+#include "paired_stream.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -225,7 +226,7 @@ TEST(MapqPropertiesTest, UniquePlacementsScoreHighRepeatsScoreZero) {
   names.push_back("repeat_read");
 
   std::vector<MappingRecord> records;
-  mapper.MapReads(reads, nullptr, &records);
+  mapper.MapReads(reads, nullptr, {}, &records);
 
   // Report-secondary mode: every verified placement emits, the primary
   // without 0x100 and everything else with it at MAPQ 0.
@@ -313,7 +314,7 @@ TEST(DuplicateMarkingTest, LaterFragmentCopiesAreFlagged) {
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
   const PairedStats stats =
-      paired.MapPairs(mates1, mates2, nullptr, &sam);
+      MapPairRecords(paired, mates1, mates2, nullptr, &sam);
   EXPECT_EQ(stats.proper_pairs, 4u);
   EXPECT_EQ(stats.duplicate_pairs, 2u);
 
@@ -333,7 +334,7 @@ TEST(DuplicateMarkingTest, LaterFragmentCopiesAreFlagged) {
   PairedEndMapper unmarked(mapper, pconf);
   std::ostringstream sam2;
   const PairedStats stats2 =
-      unmarked.MapPairs(mates1, mates2, nullptr, &sam2);
+      MapPairRecords(unmarked, mates1, mates2, nullptr, &sam2);
   EXPECT_EQ(stats2.duplicate_pairs, 0u);
   for (const ParsedRecord& rec : ParseSam(sam2.str())) {
     EXPECT_EQ(rec.flag & kSamDuplicate, 0) << rec.qname;
@@ -374,7 +375,8 @@ TEST(DuplicateMarkingTest, OpticalDistanceClassifiesTileAdjacentCopies) {
   pconf.optical_dup_distance = 100;
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(mates1, mates2, nullptr, &sam);
+  const PairedStats stats =
+      MapPairRecords(paired, mates1, mates2, nullptr, &sam);
   EXPECT_EQ(stats.proper_pairs, 5u);
   EXPECT_EQ(stats.duplicate_pairs, 4u);
   EXPECT_EQ(stats.optical_duplicate_pairs, 1u);
@@ -390,7 +392,8 @@ TEST(DuplicateMarkingTest, OpticalDistanceClassifiesTileAdjacentCopies) {
   pconf.optical_dup_distance = 0;  // default off
   PairedEndMapper plain(mapper, pconf);
   std::ostringstream sam2;
-  const PairedStats stats2 = plain.MapPairs(mates1, mates2, nullptr, &sam2);
+  const PairedStats stats2 =
+      MapPairRecords(plain, mates1, mates2, nullptr, &sam2);
   EXPECT_EQ(stats2.duplicate_pairs, 4u);
   EXPECT_EQ(stats2.optical_duplicate_pairs, 0u);
   EXPECT_EQ(sam2.str(), sam.str());
@@ -428,7 +431,8 @@ TEST(DuplicateMarkingTest, SingleEndAndDiscordantCopiesAreFlagged) {
   pconf.mate_rescue = false;  // keep the unmappable mate single-end
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(mates1, mates2, nullptr, &sam);
+  const PairedStats stats =
+      MapPairRecords(paired, mates1, mates2, nullptr, &sam);
   ASSERT_EQ(stats.single_end_pairs, 3u);
   ASSERT_EQ(stats.discordant_pairs, 3u);
   EXPECT_EQ(stats.duplicate_pairs, 0u);
@@ -512,8 +516,8 @@ TEST(SwRescueTest, RecoversAnIndelMateTheBandedScanMissed) {
   pconf.max_insert = 800;
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(
-      {{"indel", r1, ""}}, {{"indel", ReverseComplement(r2_fwd), ""}},
+  const PairedStats stats = MapPairRecords(
+      paired, {{"indel", r1, ""}}, {{"indel", ReverseComplement(r2_fwd), ""}},
       nullptr, &sam);
   EXPECT_EQ(stats.rescued_mates, 1u);
   EXPECT_EQ(stats.proper_pairs, 1u);
@@ -578,9 +582,9 @@ TEST(SwRescueTest, RepeatTornRescueWindowScoresZero) {
   pconf.max_insert = 800;
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(
-      {{"torn", r1, ""}}, {{"torn", ReverseComplement(r2_fwd), ""}}, nullptr,
-      &sam);
+  const PairedStats stats = MapPairRecords(
+      paired, {{"torn", r1, ""}}, {{"torn", ReverseComplement(r2_fwd), ""}},
+      nullptr, &sam);
   ASSERT_EQ(stats.rescued_mates, 1u);
   ASSERT_EQ(stats.proper_pairs, 1u);
   bool saw_rescued = false;

@@ -244,7 +244,7 @@ TEST(MinimizerMappingTest, LosslessAndSparserThanExhaustiveDense) {
       exhaustive = ExhaustiveDenseCandidates(mapper, reads);
     }
     std::vector<MappingRecord> records;
-    *stats = mapper.MapReads(reads, nullptr, &records);
+    *stats = mapper.MapReads(reads, nullptr, {}, &records);
     std::vector<char> mapped(reads.size(), 0);
     for (const MappingRecord& m : records) mapped[m.read_index] = 1;
     return mapped;

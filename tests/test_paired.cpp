@@ -1,6 +1,7 @@
 // Paired-end subsystem tests: concordant pairing prunes candidates before
-// verification (the subsystem's whole point), the blocking and streaming
-// drivers emit byte-identical SAM (golden-file regression in
+// verification (the subsystem's whole point), the one paired driver emits
+// the same SAM with and without the filter and from dual-file or
+// interleaved input (golden-file regression in
 // tests/data/paired_golden.sam), the insert-size model converges on the
 // simulated truth, mate rescue recovers a seed-starved mate, and the full
 // FLAG/RNEXT/PNEXT/TLEN semantics hold on every record.
@@ -25,6 +26,7 @@
 #include "io/reference.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
+#include "paired_stream.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -119,22 +121,13 @@ PairedConfig MakePairedConfig() {
   return pconf;
 }
 
-std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr) {
+/// Maps `ps` through MapPairs from a FASTQ round trip (dual-file or
+/// interleaved), with the GateKeeper engine or without a filter.
+std::string MapSam(const PairSet& ps, bool filtered, bool interleaved,
+                   PairedStats* stats = nullptr) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   PairedEndMapper paired(mapper, MakePairedConfig());
   EngineFixture fx;
-  std::ostringstream sam;
-  WriteSamHeader(sam, mapper.reference(), "rg1");
-  const PairedStats st = paired.MapPairs(ps.r1, ps.r2, fx.engine.get(), &sam);
-  if (stats != nullptr) *stats = st;
-  return sam.str();
-}
-
-std::string StreamingSam(const PairSet& ps, bool interleaved,
-                         PairedStats* stats = nullptr) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  EngineFixture fx;
-  // FASTQ round trip through the paired reader exercises both layouts.
   std::stringstream fq1, fq2;
   if (interleaved) {
     std::vector<FastqRecord> both;
@@ -153,8 +146,8 @@ std::string StreamingSam(const PairSet& ps, bool interleaved,
   pcfg.batch_size = 192;  // many batches across both devices
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
-  const PairedStats st = StreamPairedFastqToSam(
-      reader, mapper, fx.engine.get(), MakePairedConfig(), pcfg, &sam);
+  const PairedStats st = paired.MapPairs(
+      reader, filtered ? fx.engine.get() : nullptr, pcfg, &sam);
   if (stats != nullptr) *stats = st;
   return sam.str();
 }
@@ -167,15 +160,16 @@ std::string ReadGolden() {
   return buf.str();
 }
 
-TEST(PairedGoldenTest, BlockingAndStreamingMatchGoldenByteForByte) {
+TEST(PairedGoldenTest, FilteredAndUnfilteredMatchGoldenByteForByte) {
   const PairSet ps = MakePairs(MakeReference(), 60, 77);
-  PairedStats blocking_stats;
-  const std::string blocking = BlockingSam(ps, &blocking_stats);
+  PairedStats filtered_stats;
+  const std::string filtered =
+      MapSam(ps, /*filtered=*/true, /*interleaved=*/false, &filtered_stats);
 
   if (std::getenv("GKGPU_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(GoldenPath(), std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << GoldenPath();
-    out << blocking;
+    out << filtered;
     GTEST_SKIP() << "golden file regenerated; review and commit it";
   }
 
@@ -187,44 +181,23 @@ TEST(PairedGoldenTest, BlockingAndStreamingMatchGoldenByteForByte) {
   EXPECT_NE(golden.find("@RG\tID:rg1\n"), std::string::npos);
   EXPECT_NE(golden.find("RG:Z:rg1"), std::string::npos);
 
-  EXPECT_EQ(blocking, golden) << "blocking MapPairs SAM drifted";
-  EXPECT_EQ(StreamingSam(ps, /*interleaved=*/false), golden)
-      << "dual-file streaming SAM differs from the golden blocking output";
-  EXPECT_EQ(StreamingSam(ps, /*interleaved=*/true), golden)
-      << "interleaved streaming SAM differs from the golden output";
+  EXPECT_EQ(filtered, golden) << "filtered MapPairs SAM drifted";
+  EXPECT_EQ(MapSam(ps, /*filtered=*/false, /*interleaved=*/false), golden)
+      << "MapPairs without a filter differs from the golden output";
+  EXPECT_EQ(MapSam(ps, /*filtered=*/true, /*interleaved=*/true), golden)
+      << "interleaved-input SAM differs from the golden output";
 
   // Acceptance: concordant pairing prunes candidates vs independent
   // single-end mapping on simulated 2x100 bp pairs.
-  EXPECT_GT(blocking_stats.PruningRatio(), 1.0);
-  EXPECT_LT(blocking_stats.candidates_paired,
-            blocking_stats.candidates_seeded);
-  EXPECT_GT(blocking_stats.proper_pairs, blocking_stats.pairs / 2);
-}
-
-TEST(PairedGoldenTest, StreamingStatsAgreeWithBlocking) {
-  const PairSet ps = MakePairs(MakeReference(), 30, 99);
-  PairedStats blocking_stats, streaming_stats;
-  const std::string a = BlockingSam(ps, &blocking_stats);
-  const std::string b = StreamingSam(ps, false, &streaming_stats);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(streaming_stats.pairs, blocking_stats.pairs);
-  EXPECT_EQ(streaming_stats.proper_pairs, blocking_stats.proper_pairs);
-  EXPECT_EQ(streaming_stats.discordant_pairs,
-            blocking_stats.discordant_pairs);
-  EXPECT_EQ(streaming_stats.unmapped_pairs, blocking_stats.unmapped_pairs);
-  EXPECT_EQ(streaming_stats.rescued_mates, blocking_stats.rescued_mates);
-  EXPECT_EQ(streaming_stats.candidates_seeded,
-            blocking_stats.candidates_seeded);
-  EXPECT_EQ(streaming_stats.candidates_paired,
-            blocking_stats.candidates_paired);
-  EXPECT_EQ(streaming_stats.insert_observations,
-            blocking_stats.insert_observations);
-  EXPECT_DOUBLE_EQ(streaming_stats.insert_mean, blocking_stats.insert_mean);
+  EXPECT_GT(filtered_stats.PruningRatio(), 1.0);
+  EXPECT_LT(filtered_stats.candidates_paired,
+            filtered_stats.candidates_seeded);
+  EXPECT_GT(filtered_stats.proper_pairs, filtered_stats.pairs / 2);
 }
 
 TEST(PairedFlagsTest, EveryRecordCarriesConsistentPairSemantics) {
   const PairSet ps = MakePairs(MakeReference(), 40, 123);
-  const std::string sam = BlockingSam(ps);
+  const std::string sam = MapSam(ps, /*filtered=*/true, /*interleaved=*/false);
   std::istringstream in(sam);
   std::string line;
   std::vector<std::vector<std::string>> records;
@@ -296,7 +269,7 @@ TEST(PairedFlagsTest, EveryRecordCarriesConsistentPairSemantics) {
 TEST(PairedStatsTest, InsertModelConvergesOnSimulatedTruth) {
   const PairSet ps = MakePairs(MakeReference(), 150, 31);
   PairedStats stats;
-  BlockingSam(ps, &stats);
+  MapSam(ps, /*filtered=*/true, /*interleaved=*/false, &stats);
   EXPECT_GT(stats.insert_observations, 100u);
   EXPECT_NEAR(stats.insert_mean, 350.0, 15.0);
   EXPECT_NEAR(stats.insert_sigma, 30.0, 15.0);
@@ -309,11 +282,11 @@ TEST(PairedStatsTest, FilterLosesNoPairs) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   PairedEndMapper paired(mapper, MakePairedConfig());
   std::ostringstream sam_nf, sam_f;
-  const PairedStats no_filter = paired.MapPairs(ps.r1, ps.r2, nullptr,
-                                                &sam_nf);
+  const PairedStats no_filter =
+      MapPairRecords(paired, ps.r1, ps.r2, nullptr, &sam_nf);
   EngineFixture fx;
   const PairedStats with_filter =
-      paired.MapPairs(ps.r1, ps.r2, fx.engine.get(), &sam_f);
+      MapPairRecords(paired, ps.r1, ps.r2, fx.engine.get(), &sam_f);
   EXPECT_EQ(sam_nf.str(), sam_f.str());
   EXPECT_EQ(with_filter.proper_pairs, no_filter.proper_pairs);
   EXPECT_LT(with_filter.verification_pairs, no_filter.verification_pairs);
@@ -354,9 +327,9 @@ TEST(PairedRescueTest, SeedStarvedMateIsRescuedIntoAProperPair) {
   pconf.max_insert = 800;
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  PairedStats stats = paired.MapPairs(
-      {{"frag", r1, ""}}, {{"frag", ReverseComplement(r2_fwd), ""}}, nullptr,
-      &sam);
+  PairedStats stats = MapPairRecords(
+      paired, {{"frag", r1, ""}}, {{"frag", ReverseComplement(r2_fwd), ""}},
+      nullptr, &sam);
   EXPECT_EQ(stats.rescued_mates, 1u);
   EXPECT_EQ(stats.proper_pairs, 1u);
   EXPECT_EQ(stats.single_end_pairs, 0u);
@@ -378,9 +351,9 @@ TEST(PairedRescueTest, SeedStarvedMateIsRescuedIntoAProperPair) {
   pconf.mate_rescue = false;
   PairedEndMapper no_rescue(mapper, pconf);
   std::ostringstream sam2;
-  stats = no_rescue.MapPairs(
-      {{"frag", r1, ""}}, {{"frag", ReverseComplement(r2_fwd), ""}}, nullptr,
-      &sam2);
+  stats = MapPairRecords(
+      no_rescue, {{"frag", r1, ""}},
+      {{"frag", ReverseComplement(r2_fwd), ""}}, nullptr, &sam2);
   EXPECT_EQ(stats.rescued_mates, 0u);
   EXPECT_EQ(stats.single_end_pairs, 1u);
   EXPECT_NE(sam2.str().find("\t133\t"), std::string::npos) << sam2.str();
@@ -395,8 +368,8 @@ TEST(PairedEdgeTest, GarbagePairsEmitUnmappedRecords) {
   for (auto& c : junk1) c = kBases[rng.NextU64() & 0x3u];
   for (auto& c : junk2) c = kBases[rng.NextU64() & 0x3u];
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(
-      {{"junk", junk1, ""}}, {{"junk", junk2, ""}}, nullptr, &sam);
+  const PairedStats stats = MapPairRecords(
+      paired, {{"junk", junk1, ""}}, {{"junk", junk2, ""}}, nullptr, &sam);
   EXPECT_EQ(stats.unmapped_pairs, 1u);
   const std::string out = sam.str();
   EXPECT_NE(out.find("junk\t77\t*\t0\t0\t*\t*\t0\t0\t" + junk1),
@@ -411,9 +384,9 @@ TEST(PairedEdgeTest, WrongLengthPairsAreEmittedUnmappedNotDropped) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   PairedEndMapper paired(mapper, MakePairedConfig());
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(
-      {{"short", "ACGTACGT", ""}},
-      {{"short", "ACGTACGTAC", ""}}, nullptr, &sam);
+  const PairedStats stats = MapPairRecords(
+      paired, {{"short", "ACGTACGT", ""}}, {{"short", "ACGTACGTAC", ""}},
+      nullptr, &sam);
   EXPECT_EQ(stats.skipped_pairs, 1u);
   // Two unmapped records still appear: SAM holds every input pair.
   EXPECT_NE(sam.str().find("short\t77\t"), std::string::npos);
@@ -422,17 +395,18 @@ TEST(PairedEdgeTest, WrongLengthPairsAreEmittedUnmappedNotDropped) {
 
 TEST(PairedStatsTest, FilteredLanesAreVerifiedOrRejected) {
   // Every lane that enters filtration ends in exactly one bucket: verified
-  // (accepted, bypasses included) or rejected — on both drivers.
+  // (accepted, bypasses included) or rejected.  Without a filter every
+  // lane is verified.
   const PairSet ps = MakePairs(MakeReference(), 40, 511);
-  PairedStats blocking, streaming;
-  BlockingSam(ps, &blocking);
-  StreamingSam(ps, false, &streaming);
-  for (const PairedStats* s : {&blocking, &streaming}) {
-    EXPECT_GT(s->rejected_pairs, 0u);
-    EXPECT_EQ(s->verification_pairs + s->rejected_pairs,
-              s->candidates_paired);
-    EXPECT_LE(s->bypassed_pairs, s->verification_pairs);
-  }
+  PairedStats filtered, unfiltered;
+  MapSam(ps, /*filtered=*/true, /*interleaved=*/false, &filtered);
+  MapSam(ps, /*filtered=*/false, /*interleaved=*/false, &unfiltered);
+  EXPECT_GT(filtered.rejected_pairs, 0u);
+  EXPECT_EQ(filtered.verification_pairs + filtered.rejected_pairs,
+            filtered.candidates_paired);
+  EXPECT_LE(filtered.bypassed_pairs, filtered.verification_pairs);
+  EXPECT_EQ(unfiltered.rejected_pairs, 0u);
+  EXPECT_EQ(unfiltered.verification_pairs, unfiltered.candidates_paired);
 }
 
 TEST(PairedRescueTest, IndelRescueTlenUsesReferenceSpan) {
@@ -477,8 +451,8 @@ TEST(PairedRescueTest, IndelRescueTlenUsesReferenceSpan) {
   pconf.max_insert = 800;
   PairedEndMapper paired(mapper, pconf);
   std::ostringstream sam;
-  const PairedStats stats = paired.MapPairs(
-      {{"indel", r1, ""}}, {{"indel", ReverseComplement(r2_fwd), ""}},
+  const PairedStats stats = MapPairRecords(
+      paired, {{"indel", r1, ""}}, {{"indel", ReverseComplement(r2_fwd), ""}},
       nullptr, &sam);
   EXPECT_EQ(stats.rescued_mates, 1u);
   EXPECT_EQ(stats.proper_pairs, 1u);
@@ -519,9 +493,9 @@ TEST(PairedRescueTest, JunkMateStaysUnmappedThroughRescue) {
   PairedConfig pconf;
   pconf.max_insert = 800;
   PairedEndMapper paired(mapper, pconf);
-  const PairedStats stats = paired.MapPairs(
-      {{"junk", r1, ""}}, {{"junk", ReverseComplement(junk), ""}}, nullptr,
-      nullptr);
+  const PairedStats stats = MapPairRecords(
+      paired, {{"junk", r1, ""}}, {{"junk", ReverseComplement(junk), ""}},
+      nullptr, nullptr);
   EXPECT_EQ(stats.rescue_invocations, 1u);
   EXPECT_EQ(stats.rescued_mates, 0u);
   EXPECT_EQ(stats.single_end_pairs, 1u);
@@ -529,14 +503,16 @@ TEST(PairedRescueTest, JunkMateStaysUnmappedThroughRescue) {
 }
 
 TEST(PairedEdgeTest, MismatchedInputsThrow) {
+  // A truncated mate file and out-of-sync mate names both fail the run:
+  // the paired reader throws and the pipeline rethrows from MapPairs.
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   PairedEndMapper paired(mapper, MakePairedConfig());
-  EXPECT_THROW(
-      paired.MapPairs({{"a", "ACGT", ""}}, {}, nullptr, nullptr),
-      std::invalid_argument);
-  EXPECT_THROW(paired.MapPairs({{"a", "ACGT", ""}}, {{"b", "ACGT", ""}},
-                               nullptr, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(MapPairRecords(paired, {{"a", "ACGT", ""}}, {}, nullptr,
+                              nullptr),
+               std::runtime_error);
+  EXPECT_THROW(MapPairRecords(paired, {{"a", "ACGT", ""}},
+                              {{"b", "ACGT", ""}}, nullptr, nullptr),
+               std::runtime_error);
 }
 
 }  // namespace

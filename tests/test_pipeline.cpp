@@ -1,21 +1,20 @@
 // Tests for the streaming filtration pipeline: bounded-queue semantics,
 // bit-exact equivalence with the blocking FilterPairs path, input-order
-// restoration under multi-shard execution, verification correctness, and
-// error propagation.
+// restoration under multi-shard execution, verification correctness with
+// and without a filter, and error propagation.
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "align/banded.hpp"
-#include "io/fastq.hpp"
+#include "encode/revcomp.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/candidate_packer.hpp"
 #include "pipeline/queue.hpp"
@@ -607,6 +606,78 @@ TEST(CandidateStreamingTest, RejectsInvalidCandidates) {
   }
 }
 
+TEST(CandidateStreamingTest, WithoutEngineEveryCandidateIsVerified) {
+  // No engine: nothing is encoded or filtered, every candidate reaches
+  // verification, and each edit distance is exactly BandedEditDistance
+  // over a window as long as the candidate's own read.
+  CandidateWorkload w = MakeCandidateWorkload(120, 9);
+  const std::string shorter = w.genome.substr(7000, 60);
+  w.reads.push_back(ReverseComplement(shorter));
+  w.candidates.push_back(
+      {static_cast<std::uint32_t>(w.reads.size() - 1), 1, 0, 7000});
+  PipelineConfig cfg;
+  cfg.batch_size = 128;
+  cfg.verify_threshold = 5;
+  std::vector<PairResult> results;
+  std::vector<int> edits;
+  const PipelineStats stats =
+      RunCandidateStream(nullptr, cfg, w, 128, &results, &edits);
+  ASSERT_EQ(edits.size(), w.candidates.size());
+  std::uint64_t confirmed = 0;
+  for (std::size_t i = 0; i < w.candidates.size(); ++i) {
+    const CandidatePair c = w.candidates[i];
+    const std::string& read = w.reads[c.read_index];
+    const std::string oriented =
+        c.strand != 0 ? ReverseComplement(read) : read;
+    const std::string_view window(w.genome.data() + c.ref_pos, read.size());
+    EXPECT_TRUE(results[i].accept) << i;
+    EXPECT_EQ(edits[i], BandedEditDistance(oriented, window, 5)) << i;
+    confirmed += edits[i] >= 0;
+  }
+  EXPECT_EQ(edits.back(), 0);  // the short reverse-strand read is exact
+  EXPECT_GT(confirmed, 1u);
+  EXPECT_EQ(stats.pairs, w.candidates.size());
+  EXPECT_EQ(stats.accepted, stats.pairs);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.verified_pairs, stats.pairs);
+  EXPECT_EQ(stats.true_mappings, confirmed);
+  EXPECT_EQ(stats.kernel_seconds, 0.0);
+  ASSERT_EQ(stats.stages.size(), 5u);
+  EXPECT_EQ(stats.stages[1].workers, 0);  // no encode pool
+  EXPECT_EQ(stats.stages[2].workers, 0);  // no filter drivers
+
+  // The source still bounds-checks every candidate.
+  cfg.reference_text = w.genome;
+  const auto run_one = [&](std::uint32_t read_index, std::uint8_t strand,
+                           std::int64_t ref_pos) {
+    StreamingPipeline pipe(nullptr, cfg);
+    bool sent = false;
+    const pipeline::BatchSource source = [&](PairBatch* batch) {
+      if (sent) return false;
+      sent = true;
+      batch->cand_reads.push_back(std::string(40, 'A'));
+      batch->candidates.push_back({read_index, strand, 0, ref_pos});
+      return true;
+    };
+    pipe.Run(source, [](PairBatch&&) {});
+  };
+  const auto end = static_cast<std::int64_t>(w.genome.size());
+  EXPECT_NO_THROW(run_one(0, 0, end - 40));
+  EXPECT_THROW(run_one(0, 0, end - 39), std::runtime_error);
+  EXPECT_THROW(run_one(0, 0, -1), std::runtime_error);
+  EXPECT_THROW(run_one(1, 0, 100), std::runtime_error);
+  EXPECT_THROW(run_one(0, 2, 100), std::runtime_error);
+
+  // Without an engine there is no pair mode and no default threshold.
+  PipelineConfig pair_mode;
+  pair_mode.verify_threshold = 5;
+  EXPECT_THROW(StreamingPipeline(nullptr, pair_mode), std::invalid_argument);
+  PipelineConfig no_threshold;
+  no_threshold.reference_text = w.genome;
+  EXPECT_THROW(StreamingPipeline(nullptr, no_threshold),
+               std::invalid_argument);
+}
+
 TEST(CandidateStreamingTest, CandidateBatchInPairModeIsRejected) {
   EngineFixture fx(1, 100, 5);
   PipelineConfig cfg;
@@ -645,127 +716,6 @@ TEST(CandidateStreamingTest, CandidateModeDetectsWrongGenomeOfSameLength) {
   EXPECT_THROW(StreamingPipeline(fx.engine.get(), cfg), std::invalid_argument);
   cfg.reference_text = genome_a;
   EXPECT_NO_THROW(StreamingPipeline(fx.engine.get(), cfg));
-}
-
-TEST(MapReadsStreamingTest, MatchesBlockingMapperOnMultiChromReference) {
-  ReferenceSet ref;
-  ref.Add("chr1", GenerateGenome(40000, 21));
-  ref.Add("chr2", GenerateGenome(25000, 22));
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = 100;
-  mcfg.error_threshold = 4;
-  ReadMapper mapper(ref, mcfg);
-  // Reads sampled across the whole concatenation: some straddle the
-  // chr1/chr2 junction and must simply fail to map, not crash.
-  std::vector<std::string> reads;
-  for (const auto& r : SimulateReads(ref.text(), 350, 100,
-                                     ReadErrorProfile::Illumina(), 77)) {
-    reads.push_back(r.seq);
-  }
-
-  EngineFixture blocking(2, 100, 4);
-  std::vector<MappingRecord> expected_records;
-  const MappingStats expected =
-      mapper.MapReads(reads, blocking.engine.get(), &expected_records);
-
-  EngineFixture streaming(2, 100, 4);
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = 256;
-  std::vector<MappingRecord> got_records;
-  const MappingStats got = mapper.MapReadsStreaming(
-      reads, streaming.engine.get(), pcfg, &got_records);
-
-  EXPECT_EQ(got.reads, expected.reads);
-  EXPECT_EQ(got.candidates_total, expected.candidates_total);
-  EXPECT_EQ(got.mappings, expected.mappings);
-  EXPECT_EQ(got.mapped_reads, expected.mapped_reads);
-  EXPECT_EQ(got.verification_pairs, expected.verification_pairs);
-  ASSERT_EQ(got_records.size(), expected_records.size());
-  for (std::size_t i = 0; i < got_records.size(); ++i) {
-    EXPECT_EQ(got_records[i].read_index, expected_records[i].read_index) << i;
-    EXPECT_EQ(got_records[i].pos, expected_records[i].pos) << i;
-    EXPECT_EQ(got_records[i].edit_distance,
-              expected_records[i].edit_distance)
-        << i;
-  }
-}
-
-TEST(MapReadsStreamingTest, RequiresEngineAndUniformReadLength) {
-  ReadMapper mapper(GenerateGenome(20000, 2), MapperConfig{});
-  std::vector<std::string> reads{std::string(100, 'A')};
-  EXPECT_THROW(mapper.MapReadsStreaming(reads, nullptr),
-               std::invalid_argument);
-  EngineFixture fx(1, 100, 5);
-  reads.push_back(std::string(80, 'A'));
-  EXPECT_THROW(mapper.MapReadsStreaming(reads, fx.engine.get()),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------- read-to-SAM --
-
-TEST(ReadToSamTest, MatchesBlockingMapper) {
-  const std::string genome = GenerateGenome(60000, 3);
-  const int length = 100;
-  const int e = 4;
-  const auto reads =
-      SimulateReads(genome, 400, length, ReadErrorProfile::Illumina(), 11);
-
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = length;
-  mcfg.error_threshold = e;
-  ReadMapper mapper(genome, mcfg);
-
-  // Blocking reference run.
-  std::vector<std::string> read_seqs;
-  for (const auto& r : reads) read_seqs.push_back(r.seq);
-  EngineFixture blocking(2, length, e);
-  std::vector<MappingRecord> expected_records;
-  const MappingStats expected =
-      mapper.MapReads(read_seqs, blocking.engine.get(), &expected_records);
-
-  // Streaming run over the same reads serialized as FASTQ.
-  std::stringstream fastq;
-  std::vector<FastqRecord> fq;
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    fq.push_back({"r" + std::to_string(i), reads[i].seq, ""});
-  }
-  WriteFastq(fastq, fq);
-
-  EngineFixture streaming(2, length, e);
-  pipeline::ReadToSamConfig scfg;
-  scfg.pipeline.batch_size = 512;
-  // Report-secondary keeps every verified mapping in the output, so the
-  // SAM lines align 1:1 with the blocking mapper's record list.
-  scfg.secondary = SecondaryPolicy::kReportSecondary;
-  std::stringstream sam;
-  const pipeline::ReadToSamStats got = pipeline::StreamFastqToSam(
-      fastq, mapper, streaming.engine.get(), scfg, &sam);
-
-  EXPECT_EQ(got.reads, reads.size());
-  EXPECT_EQ(got.candidates, expected.candidates_total);
-  EXPECT_EQ(got.mappings, expected.mappings);
-  EXPECT_EQ(got.mapped_reads, expected.mapped_reads);
-  EXPECT_EQ(got.pipeline.verified_pairs, expected.verification_pairs);
-
-  // One SAM line per mapping, in input read order, with matching
-  // positions and edit distances.
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(sam, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), expected_records.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const MappingRecord& m = expected_records[i];
-    std::stringstream ls(lines[i]);
-    std::string qname, flag, rname, pos;
-    ls >> qname >> flag >> rname >> pos;
-    EXPECT_EQ(qname, "r" + std::to_string(m.read_index)) << i;
-    EXPECT_EQ(pos, std::to_string(m.pos + 1)) << i;
-    EXPECT_NE(lines[i].find("NM:i:" + std::to_string(m.edit_distance)),
-              std::string::npos)
-        << i;
-  }
 }
 
 }  // namespace

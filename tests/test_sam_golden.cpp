@@ -1,6 +1,6 @@
 // Golden-file SAM regression: a small multi-chromosome reference and a
-// fixed-seed read set are mapped by the blocking mapper, the streaming
-// mapper (MapReadsStreaming) and the FASTQ-to-SAM pipeline, and each
+// fixed-seed read set are mapped by MapReads with the GateKeeper engine,
+// by MapReads without a filter, and by the FASTQ-to-SAM pipeline, and each
 // output is compared byte-for-byte against the committed expectation in
 // tests/data/multi_chrom_golden.sam — covering the per-chromosome @SQ
 // header lines, flags, positions, CIGARs and NM tags.
@@ -100,25 +100,15 @@ MapperConfig MakeMapperConfig() {
   return mcfg;
 }
 
-std::string BlockingSam(const ReadSet& rs) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  EngineFixture fx;
-  std::vector<MappingRecord> records;
-  mapper.MapReads(rs.seqs, fx.engine.get(), &records);
-  std::ostringstream sam;
-  WriteSamHeader(sam, mapper.reference());
-  WriteSamRecordsMultiChrom(sam, rs.seqs, rs.names, records,
-                            mapper.reference());
-  return sam.str();
-}
-
-std::string StreamingMapperSam(const ReadSet& rs) {
+/// MapReads with the GateKeeper engine (`filtered`) or without a filter.
+std::string MapperSam(const ReadSet& rs, bool filtered) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   EngineFixture fx;
   pipeline::PipelineConfig pcfg;
   pcfg.batch_size = 256;  // many batches across both devices
   std::vector<MappingRecord> records;
-  mapper.MapReadsStreaming(rs.seqs, fx.engine.get(), pcfg, &records);
+  mapper.MapReads(rs.seqs, filtered ? fx.engine.get() : nullptr, pcfg,
+                  &records);
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference());
   WriteSamRecordsMultiChrom(sam, rs.seqs, rs.names, records,
@@ -156,14 +146,14 @@ std::string ReadGolden() {
   return buf.str();
 }
 
-TEST(SamGoldenTest, BlockingStreamingAndPipelineMatchGoldenByteForByte) {
+TEST(SamGoldenTest, FilteredUnfilteredAndPipelineMatchGoldenByteForByte) {
   const ReadSet rs = MakeReads(MakeReference());
-  const std::string blocking = BlockingSam(rs);
+  const std::string filtered = MapperSam(rs, /*filtered=*/true);
 
   if (std::getenv("GKGPU_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(GoldenPath(), std::ios::binary);
     ASSERT_TRUE(out) << "cannot write " << GoldenPath();
-    out << blocking;
+    out << filtered;
     GTEST_SKIP() << "golden file regenerated; review and commit it";
   }
 
@@ -178,9 +168,9 @@ TEST(SamGoldenTest, BlockingStreamingAndPipelineMatchGoldenByteForByte) {
   EXPECT_NE(golden.find("@SQ\tSN:chrB\tLN:20000\n"), std::string::npos);
   EXPECT_NE(golden.find("@SQ\tSN:chrC\tLN:12000\n"), std::string::npos);
 
-  EXPECT_EQ(blocking, golden) << "blocking MapReads SAM drifted";
-  EXPECT_EQ(StreamingMapperSam(rs), golden)
-      << "streaming MapReads SAM differs from the golden blocking output";
+  EXPECT_EQ(filtered, golden) << "filtered MapReads SAM drifted";
+  EXPECT_EQ(MapperSam(rs, /*filtered=*/false), golden)
+      << "MapReads without a filter differs from the golden output";
   EXPECT_EQ(StreamingFastqSam(rs), golden)
       << "FASTQ-to-SAM pipeline output differs from the golden output";
 }

@@ -117,7 +117,6 @@ class ServeTest : public ::testing::Test {
     mcfg.k = 8;
     mcfg.read_length = kReadLength;
     mcfg.error_threshold = kErrors;
-    mcfg.verify_threads = 2;
     return ReadMapper(ReferenceSet(ref_), mcfg);
   }
 

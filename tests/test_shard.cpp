@@ -188,10 +188,11 @@ TEST_F(ShardedMappingTest, SamOutputIsByteIdentical) {
   for (std::size_t i = 0; i < reads.size(); ++i) {
     names.push_back("r" + std::to_string(i));
   }
-  const auto render = [&](const MapperConfig& cfg) {
+  const auto render = [&](const MapperConfig& cfg,
+                          GateKeeperGpuEngine* engine = nullptr) {
     ReadMapper mapper(ref_, cfg);
     std::vector<MappingRecord> records;
-    mapper.MapReads(reads, nullptr, &records);
+    mapper.MapReads(reads, engine, {}, &records);
     std::ostringstream sam;
     WriteSamHeader(sam, mapper.reference(), "");
     WriteSamRecordsMultiChrom(sam, reads, names, records,
@@ -205,6 +206,14 @@ TEST_F(ShardedMappingTest, SamOutputIsByteIdentical) {
   sharded_cfg.shard_max_bp = 6000;  // four shards
   EXPECT_EQ(render(sharded_cfg), mono);
   EXPECT_FALSE(mono.empty());
+
+  // Filtering loses nothing here either, junction-spanning reads included.
+  auto devices = gpusim::MakeSetup1(2, 2);
+  EngineConfig ecfg;
+  ecfg.read_length = config_.read_length;
+  ecfg.error_threshold = config_.error_threshold;
+  GateKeeperGpuEngine engine(ecfg, {devices[0].get(), devices[1].get()});
+  EXPECT_EQ(render(sharded_cfg, &engine), mono);
 }
 
 TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {

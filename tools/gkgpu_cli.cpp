@@ -362,13 +362,12 @@ int Usage() {
       "                  [--setup 1|2] [--devices N] [--read-group ID]\n"
       "                  [--mapq-cap N] [--threads N]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
-      "                  [--shard-max-bp N] and one of:\n"
-      "                    --reads FASTQ [--no-filter] [--streaming]\n"
-      "                      [--batch N] [--report-secondary]\n"
+      "                  [--shard-max-bp N] [--no-filter] [--batch N]\n"
+      "                  and one of:\n"
+      "                    --reads FASTQ [--report-secondary]\n"
       "                    --paired R1.fq R2.fq | --interleaved FILE\n"
-      "                      [--max-insert N] [--no-filter] [--streaming]\n"
-      "                      [--no-rescue] [--mark-duplicates]\n"
-      "                      [--optical-dup-distance N] [--batch N]\n"
+      "                      [--max-insert N] [--no-rescue]\n"
+      "                      [--mark-duplicates] [--optical-dup-distance N]\n"
       "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
       "                  [--sam FILE] | --pairs FILE --e N [--out FILE]\n"
       "                  [--batch N] [--queue N] [--encode-workers N]\n"
@@ -392,6 +391,8 @@ int Usage() {
       "                  [--read-group ID] [--mapq-cap N]\n"
       "                  [--report-secondary]\n"
       "  stats           --socket PATH   (Prometheus scrape of a daemon)\n"
+      "  (map streams every run through the pipeline; --streaming is\n"
+      "   accepted and changes nothing)\n"
       "  (map and pipeline accept --metrics-json FILE for the registry\n"
       "   snapshot and --trace-json FILE for a chrome://tracing timeline)\n"
       "  (FASTA references may be multi-chromosome; SAM output carries one\n"
@@ -662,14 +663,6 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
                  "(R1 and R2), or use --interleaved FILE\n");
     return 2;
   }
-  const bool streaming = args.Has("streaming");
-  if (args.Has("no-filter") && streaming) {
-    std::fprintf(stderr,
-                 "map: --streaming is the filter integration and cannot be "
-                 "combined with --no-filter\n");
-    return 2;
-  }
-
   // Open the mate stream(s); read length comes from the first R1 record.
   std::ifstream in1, in2;
   if (interleaved.empty()) {
@@ -746,24 +739,12 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
     sam = &sam_file;
   }
 
-  PairedStats stats;
-  if (streaming) {
-    pipeline::PipelineConfig pcfg;
-    pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
-    auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
-                                      : PairedFastqReader(in1);
-    stats = paired.MapPairsStreaming(reader, engine.get(), pcfg, sam);
-  } else {
-    auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
-                                      : PairedFastqReader(in1);
-    std::vector<FastqRecord> r1s, r2s;
-    FastqRecord a, b;
-    while (reader.Next(&a, &b)) {
-      r1s.push_back(std::move(a));
-      r2s.push_back(std::move(b));
-    }
-    stats = paired.MapPairs(r1s, r2s, engine.get(), sam);
-  }
+  pipeline::PipelineConfig pcfg;
+  pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
+  ApplyThreads(args, &pcfg);
+  auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
+                                    : PairedFastqReader(in1);
+  const PairedStats stats = paired.MapPairs(reader, engine.get(), pcfg, sam);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"pairs", TablePrinter::Count(stats.pairs)});
@@ -826,21 +807,11 @@ int MapCmd(const Args& args) {
   }
   const int length = static_cast<int>(reads.front().size());
   const int e = static_cast<int>(args.GetInt("e", 5));
-  const bool streaming = args.Has("streaming");
-  if (streaming && args.Has("no-filter")) {
-    std::fprintf(stderr,
-                 "map: --streaming is the filter integration and cannot be "
-                 "combined with --no-filter\n");
-    return 2;
-  }
 
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = e;
-  const long map_threads = args.GetInt("threads", 0);
-  mcfg.verify_threads =
-      map_threads > 0 ? static_cast<unsigned>(map_threads) : 0;
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
@@ -857,16 +828,12 @@ int MapCmd(const Args& args) {
     input.LoadEngine(engine.get(), mapper);
   }
 
+  pipeline::PipelineConfig pcfg;
+  pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
+  ApplyThreads(args, &pcfg);
   std::vector<MappingRecord> records;
-  MappingStats stats;
-  if (streaming) {
-    pipeline::PipelineConfig pcfg;
-    pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
-    ApplyThreads(args, &pcfg);
-    stats = mapper.MapReadsStreaming(reads, engine.get(), pcfg, &records);
-  } else {
-    stats = mapper.MapReads(reads, engine.get(), &records);
-  }
+  const MappingStats stats =
+      mapper.MapReads(reads, engine.get(), pcfg, &records);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
@@ -1184,7 +1151,6 @@ int ServeCmd(const Args& args) {
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = e;
-  mcfg.verify_threads = static_cast<unsigned>(threads > 0 ? threads : 1);
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
