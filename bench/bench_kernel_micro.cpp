@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "align/banded.hpp"
+#include "align/local.hpp"
 #include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/encoded.hpp"
@@ -12,6 +13,7 @@
 #include "filters/magnet.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
+#include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
 
 namespace gkgpu {
@@ -107,6 +109,16 @@ void BM_ExactAligners(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));
   const SequencePair p = MakePairWithEdits(100, 7, 0.3, 11);
   MyersAligner myers;
+  BandedVerifier verifier;
+  // Rescue-shaped fit: a 100 bp mate with 3 edits planted at offset 200 of
+  // a 345 bp window, starts admitted up to 240 (the insert-size window
+  // plus an e-base tail, as mate rescue scans it).
+  const std::string window = GenerateGenome(345, 13);
+  std::string rescued = window.substr(200, 100);
+  rescued[20] = rescued[20] == 'A' ? 'C' : 'A';
+  rescued.erase(50, 1);
+  rescued[80] = rescued[80] == 'G' ? 'T' : 'G';
+  LocalAligner local;
   for (auto _ : state) {
     switch (which) {
       case 0:
@@ -115,14 +127,23 @@ void BM_ExactAligners(benchmark::State& state) {
       case 1:
         benchmark::DoNotOptimize(myers.Distance(p.read, p.ref));
         break;
-      default:
+      case 2:
         benchmark::DoNotOptimize(BandedEditDistance(p.read, p.ref, 10));
+        break;
+      case 3:
+        benchmark::DoNotOptimize(verifier.Distance(p.read, p.ref, 5));
+        break;
+      default:
+        benchmark::DoNotOptimize(local.BestFit(rescued, window, 5, 240));
         break;
     }
   }
-  state.SetLabel(which == 0 ? "NW-DP" : which == 1 ? "Myers" : "Banded-k10");
+  static constexpr const char* kLabels[] = {
+      "NW-DP", "Myers", "Banded-k10", "BandedVerifier-k5",
+      "BestFit-rescue-345bp"};
+  state.SetLabel(kLabels[which]);
 }
-BENCHMARK(BM_ExactAligners)->DenseRange(0, 2);
+BENCHMARK(BM_ExactAligners)->DenseRange(0, 4);
 
 }  // namespace
 }  // namespace gkgpu

@@ -8,10 +8,9 @@ namespace gkgpu {
 
 namespace {
 constexpr int kInf = 1 << 29;
+}  // namespace
 
-/// Core band walk over caller-provided row buffers (resized as needed).
-int BandedDistanceImpl(std::string_view a, std::string_view b, int k,
-                       std::vector<int>& row, std::vector<int>& prev) {
+int BandedEditDistance(std::string_view a, std::string_view b, int k) {
   const int m = static_cast<int>(a.size());
   const int n = static_cast<int>(b.size());
   if (k < 0) return -1;
@@ -20,8 +19,8 @@ int BandedDistanceImpl(std::string_view a, std::string_view b, int k,
   if (n == 0) return m <= k ? m : -1;
   // row[d] holds D[i][i + d - k] for diagonal offset d in [0, 2k].
   const int width = 2 * k + 1;
-  row.assign(static_cast<std::size_t>(width), kInf);
-  prev.assign(static_cast<std::size_t>(width), kInf);
+  std::vector<int> row(static_cast<std::size_t>(width), kInf);
+  std::vector<int> prev(static_cast<std::size_t>(width), kInf);
   // Row 0: D[0][j] = j for j in [0, k].
   for (int d = 0; d < width; ++d) {
     const int j = d - k;
@@ -65,16 +64,8 @@ int BandedDistanceImpl(std::string_view a, std::string_view b, int k,
   return dist <= k ? dist : -1;
 }
 
-}  // namespace
-
-int BandedEditDistance(std::string_view a, std::string_view b, int k) {
-  std::vector<int> row;
-  std::vector<int> prev;
-  return BandedDistanceImpl(a, b, k, row, prev);
-}
-
 int BandedVerifier::Distance(std::string_view a, std::string_view b, int k) {
-  return BandedDistanceImpl(a, b, k, row_, prev_);
+  return myers_.DistanceWithin(a, b, k);
 }
 
 }  // namespace gkgpu

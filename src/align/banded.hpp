@@ -1,12 +1,14 @@
-// Ukkonen banded Levenshtein distance: exact when the distance is within
-// the band, and the mapper's verification stage (mrFAST verifies candidate
-// mappings against an edit-distance threshold e, so a band of e suffices
-// for an exact accept/reject decision).
+// Thresholded edit distance for the mapper's verification stage (mrFAST
+// verifies candidate mappings against an edit-distance threshold e, so
+// "exact if <= e, else reject" suffices for an exact accept/reject
+// decision).  BandedEditDistance is the Ukkonen banded int DP, kept as the
+// reference; BandedVerifier is the bit-vector form the hot loops call.
 #ifndef GKGPU_ALIGN_BANDED_HPP
 #define GKGPU_ALIGN_BANDED_HPP
 
 #include <string_view>
-#include <vector>
+
+#include "align/myers.hpp"
 
 namespace gkgpu {
 
@@ -14,18 +16,19 @@ namespace gkgpu {
 /// O((2k+1) * max(m,n)) time.
 int BandedEditDistance(std::string_view a, std::string_view b, int k);
 
-/// Reusable-buffer variant for verification hot loops: one instance per
-/// worker thread amortizes the band-row allocations over millions of
-/// pairs (the streaming pipeline's verify stage churns one call per
-/// filter-accepted pair).  Not thread-safe; results identical to
-/// BandedEditDistance.
+/// The verification hot loop: Myers/Hyyrö bit-vector edit distance with
+/// an early exit once the distance provably exceeds k, several times
+/// cheaper per pair than the int DP.  One instance per worker thread
+/// reuses its pattern tables over millions of pairs (the streaming
+/// pipeline's verify stage churns one call per filter-accepted pair).
+/// Not thread-safe; results identical to BandedEditDistance, which stays
+/// the reference the tests compare against.
 class BandedVerifier {
  public:
   int Distance(std::string_view a, std::string_view b, int k);
 
  private:
-  std::vector<int> row_;
-  std::vector<int> prev_;
+  MyersAligner myers_;
 };
 
 /// Convenience accept test used by verification: edit(a, b) <= k.

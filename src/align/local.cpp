@@ -18,14 +18,18 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
   const int n = static_cast<int>(ref.size());
   const std::size_t stride = static_cast<std::size_t>(n) + 1;
   const std::size_t cells = static_cast<std::size_t>(m + 1) * stride;
-  // The matrix is never cleared: every cell the recurrence, the answer
-  // scan, or the traceback reads lies inside a row's written band (live
-  // cells plus one kInf sentinel on each side), so stale values from a
+  // The matrix is never cleared: rows record their live span [lo_, hi_]
+  // and every read outside it yields kInf, so stale values from a
   // previous call are unreachable.
   if (dp_.size() < cells) dp_.resize(cells);
-  auto at = [&](int i, int j) -> int& {
-    return dp_[static_cast<std::size_t>(i) * stride +
-               static_cast<std::size_t>(j)];
+  lo_.resize(static_cast<std::size_t>(m) + 1);
+  hi_.resize(static_cast<std::size_t>(m) + 1);
+  const auto row = [&](int i) {
+    return dp_.data() + static_cast<std::size_t>(i) * stride;
+  };
+  const auto at = [&](int i, int j) {
+    const auto r = static_cast<std::size_t>(i);
+    return j < lo_[r] || j > hi_[r] ? kInf : row(i)[j];
   };
 
   // Row 0 is free up to max_begin: a placement may start before any
@@ -34,54 +38,61 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
       max_begin < 0
           ? n
           : static_cast<int>(std::min<std::int64_t>(n, max_begin));
-  // Adaptive band: a within-budget path into (i, j) starts at a row-0
-  // column <= begin_limit, and its column drift obeys
-  // |j - start - i| <= edits, so i - max_edits <= j <= begin_limit + i +
-  // max_edits.  Cells outside that band cannot hold a value <= max_edits
-  // — the budget poisoning below would kInf them anyway — so each row
-  // only computes its band and the band widens with the window length
-  // instead of every row sweeping all n columns.
-  const auto hi_of = [&](int i) {
-    return static_cast<int>(std::min<std::int64_t>(
-        n, static_cast<std::int64_t>(begin_limit) + i + max_edits));
-  };
-  for (int j = 0; j <= begin_limit; ++j) at(0, j) = 0;
-  for (int j = begin_limit + 1; j <= std::min(n, hi_of(1)); ++j) {
-    at(0, j) = kInf;  // row 1 reads this far past the free prefix
-  }
+  std::fill(row(0), row(0) + begin_limit + 1, 0);
+  lo_[0] = 0;
+  hi_[0] = begin_limit;
+  // Live spans: a cell <= max_edits needs a live predecessor, so row i's
+  // live cells lie between the previous row's lo and the end of the D
+  // chain leaving the previous row's hi + 1.  Cells past the budget can
+  // never recover (costs are nonnegative) and are poisoned to kInf, which
+  // keeps the spans O(max_edits) wide once the read prefix is long enough
+  // to pin its placement.
   for (int i = 1; i <= m; ++i) {
-    // Within the budget, i read bases consume at least i - max_edits
-    // reference bases; earlier columns cannot reach the answer row.
-    const int j_lo = std::max(0, i - max_edits);
-    if (j_lo > n) continue;  // the read no longer fits; rows stay dead
-    const int j_hi = hi_of(i);
-    if (j_lo == 0) {
-      at(i, 0) = i;
-    } else {
-      at(i, j_lo - 1) = kInf;  // lower sentinel
+    int* const prev = row(i - 1);
+    int* const cur = row(i);
+    const int prev_lo = lo_[static_cast<std::size_t>(i) - 1];
+    const int prev_hi = hi_[static_cast<std::size_t>(i) - 1];
+    // Sentinels just outside the previous span, so the recurrence reads
+    // only values this call wrote.
+    if (prev_lo > 0) prev[prev_lo - 1] = kInf;
+    if (prev_hi < n) prev[prev_hi + 1] = kInf;
+    const char base = read[static_cast<std::size_t>(i) - 1];
+    int lo = -1;
+    int hi = -1;
+    int left = kInf;  // cur[j - 1]
+    int j = prev_lo;
+    if (j == 0) {
+      left = i <= max_edits ? i : kInf;
+      cur[0] = left;
+      if (left != kInf) lo = hi = 0;
+      j = 1;
     }
-    for (int j = std::max(1, j_lo); j <= j_hi; ++j) {
-      int v = kInf;
-      if (at(i - 1, j - 1) < kInf) {
-        const int cost = read[static_cast<std::size_t>(i - 1)] ==
-                                 ref[static_cast<std::size_t>(j - 1)]
-                             ? 0
-                             : 1;
-        v = std::min(v, at(i - 1, j - 1) + cost);  // M
+    for (const int diag_end = std::min(n, prev_hi + 1); j <= diag_end; ++j) {
+      const int cost = base == ref[static_cast<std::size_t>(j) - 1] ? 0 : 1;
+      const int v = std::min({prev[j - 1] + cost,  // M
+                              prev[j] + 1,         // I
+                              left + 1});          // D
+      left = v > max_edits ? kInf : v;
+      cur[j] = left;
+      if (left != kInf) {
+        if (lo < 0) lo = j;
+        hi = j;
       }
-      if (at(i - 1, j) < kInf) v = std::min(v, at(i - 1, j) + 1);  // I
-      if (at(i, j - 1) < kInf) v = std::min(v, at(i, j - 1) + 1);  // D
-      // Cells past the budget can never recover (costs are nonnegative);
-      // poisoning them keeps each row's live span O(max_edits) wide.
-      at(i, j) = v > max_edits ? kInf : v;
     }
-    if (j_hi < n) at(i, j_hi + 1) = kInf;  // upper sentinel
+    // Past the previous row's reach only the D chain extends the row.
+    for (; j <= n && left < max_edits; ++j) {
+      cur[j] = ++left;
+      hi = j;
+    }
+    if (lo < 0) return {};  // every later row is dead too
+    lo_[static_cast<std::size_t>(i)] = lo;
+    hi_[static_cast<std::size_t>(i)] = hi;
   }
 
   // Free end: the placement may stop before the window does.  Smallest
   // final column on ties -> the leftmost-ending placement, deterministic.
-  const int final_lo = std::max(0, m - max_edits);
-  const int final_hi = final_lo > n ? -1 : hi_of(m);
+  const int final_lo = lo_[static_cast<std::size_t>(m)];
+  const int final_hi = hi_[static_cast<std::size_t>(m)];
   int best_j = -1;
   int best = kInf;
   for (int j = final_lo; j <= final_hi; ++j) {
@@ -90,7 +101,6 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
       best_j = j;
     }
   }
-  if (best_j < 0 || best > max_edits) return {};
 
   LocalAlignment result;
   result.edits = best;

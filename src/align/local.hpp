@@ -55,19 +55,21 @@ class LocalAligner {
   /// admitting starts beyond it.  Deterministic tie-breaks: among
   /// minimum-edit placements the one ending leftmost in `ref` wins, and
   /// the traceback prefers diagonal (M) moves so runs stay long.
-  /// Banded per row by the Ukkonen argument on both sides — columns
-  /// [i - max_edits, max_begin + i + max_edits] are the only reachable
-  /// cells — so a tight `max_begin` makes each row O(max_begin +
-  /// max_edits) instead of O(|ref|), and the matrix is re-sentineled
-  /// rather than cleared between calls.
+  /// Each row computes only its live span — the cells that can hold a
+  /// value <= max_edits, from the previous row's first live column to the
+  /// end of the deletion chain past its last — so cost follows the
+  /// placements still within budget rather than |ref|, and the matrix is
+  /// never cleared between calls.
   LocalAlignment BestFit(std::string_view read, std::string_view ref,
                          int max_edits, std::int64_t max_begin = -1);
 
  private:
-  // (m + 1) x (n + 1) edit matrix; only each row's band (plus kInf
-  // sentinels) is rewritten per call, so cells outside it hold stale
-  // values by design.
+  // (m + 1) x (n + 1) edit matrix; only each row's live span [lo_[i],
+  // hi_[i]] is rewritten per call, and cells outside it read as kInf
+  // (they hold stale values by design).
   std::vector<int> dp_;
+  std::vector<int> lo_;
+  std::vector<int> hi_;
 };
 
 /// Match-scaled alignment score shared by the MAPQ model: +2 per aligned

@@ -1,30 +1,36 @@
 #include "align/myers.hpp"
 
-#include <algorithm>
+#include <cstdlib>
+#include <limits>
 
 namespace gkgpu {
 
 namespace {
-constexpr int kAlphabet = 256;
+constexpr std::size_t kAlphabet = 256;
 constexpr int kW = 64;
+
+std::size_t PeqIndex(std::size_t i, char c) {
+  return (i / kW) * kAlphabet + static_cast<unsigned char>(c);
+}
 }  // namespace
 
-void MyersAligner::BuildPeq(std::string_view pattern, int nblocks) {
-  peq_.assign(static_cast<std::size_t>(kAlphabet) * nblocks, 0);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    const auto c = static_cast<unsigned char>(pattern[i]);
-    peq_[static_cast<std::size_t>(c) * nblocks + i / kW] |=
-        std::uint64_t{1} << (i % kW);
-  }
+int MyersAligner::Distance(std::string_view a, std::string_view b) {
+  return DistanceWithin(a, b, std::numeric_limits<int>::max());
 }
 
-int MyersAligner::Distance(std::string_view a, std::string_view b) {
+int MyersAligner::DistanceWithin(std::string_view a, std::string_view b,
+                                 int k) {
   const int m = static_cast<int>(a.size());
   const int n = static_cast<int>(b.size());
+  if (k < 0 || std::abs(m - n) > k) return -1;
   if (m == 0) return n;
   if (n == 0) return m;
   const int nblocks = (m + kW - 1) / kW;
-  BuildPeq(a, nblocks);
+  const std::size_t peq_words = static_cast<std::size_t>(nblocks) * kAlphabet;
+  if (peq_.size() < peq_words) peq_.resize(peq_words, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    peq_[PeqIndex(i, a[i])] |= std::uint64_t{1} << (i % kW);
+  }
   blocks_.assign(static_cast<std::size_t>(nblocks),
                  Block{~std::uint64_t{0}, 0});
   // High bit of the last (possibly partial) block marks pattern row m.
@@ -33,12 +39,10 @@ int MyersAligner::Distance(std::string_view a, std::string_view b) {
   int score = m;
   for (int j = 0; j < n; ++j) {
     const auto c = static_cast<unsigned char>(b[static_cast<std::size_t>(j)]);
-    const std::uint64_t* peq_c =
-        peq_.data() + static_cast<std::size_t>(c) * nblocks;
     int hin = 1;  // D[0][j] = j boundary: +1 enters the top block each column
     for (int bi = 0; bi < nblocks; ++bi) {
       Block& blk = blocks_[static_cast<std::size_t>(bi)];
-      std::uint64_t eq = peq_c[bi];
+      std::uint64_t eq = peq_[static_cast<std::size_t>(bi) * kAlphabet + c];
       const std::uint64_t pv = blk.pv;
       const std::uint64_t mv = blk.mv;
       const std::uint64_t xv = eq | mv;
@@ -60,8 +64,10 @@ int MyersAligner::Distance(std::string_view a, std::string_view b) {
       hin = hout;
     }
     score += hin;  // hout of the last block adjusts D[m][j+1]
+    if (score - (n - 1 - j) > k) break;
   }
-  return score;
+  for (std::size_t i = 0; i < a.size(); ++i) peq_[PeqIndex(i, a[i])] = 0;
+  return score <= k ? score : -1;
 }
 
 int MyersEditDistance(std::string_view a, std::string_view b) {

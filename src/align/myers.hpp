@@ -8,7 +8,6 @@
 #ifndef GKGPU_ALIGN_MYERS_HPP
 #define GKGPU_ALIGN_MYERS_HPP
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -21,10 +20,10 @@ class MyersAligner {
   int Distance(std::string_view a, std::string_view b);
 
   /// Edit distance if <= k, else -1 (same contract as BandedEditDistance).
-  int DistanceWithin(std::string_view a, std::string_view b, int k) {
-    const int d = Distance(a, b);
-    return d <= k ? d : -1;
-  }
+  /// Stops scanning the text as soon as the distance provably exceeds k:
+  /// D[m][n] >= D[m][j] - (n - j), since each text column lowers the last
+  /// row by at most one.
+  int DistanceWithin(std::string_view a, std::string_view b, int k);
 
  private:
   struct Block {
@@ -32,9 +31,9 @@ class MyersAligner {
     std::uint64_t mv;  // vertical negative deltas
   };
 
-  void BuildPeq(std::string_view pattern, int nblocks);
-
-  // peq_[c * nblocks + b]: bit i set when pattern[b*64 + i] == character c.
+  // peq_[b * 256 + c]: bit i set when pattern[b*64 + i] == character c.
+  // All zero between calls: each call sets its pattern's bits and clears
+  // exactly those again, so no call pays for a 256 x blocks reset.
   std::vector<std::uint64_t> peq_;
   std::vector<Block> blocks_;
 };

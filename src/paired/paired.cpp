@@ -278,8 +278,8 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
 }
 
 /// Smith-Waterman-style fit alignment over the insert window the model
-/// predicts for the lost mate (align/local.hpp): one banded DP over the
-/// whole window replaces the per-offset banded scans, recovers placements
+/// predicts for the lost mate (align/local.hpp): one live-span DP over
+/// the whole window replaces the per-offset banded scans, recovers placements
 /// whose reference span differs from the read length (indels the fixed
 /// L-wide windows could never fit), and yields the CIGAR directly from
 /// the traceback.  Deterministic, so every run rescues identically.

@@ -215,8 +215,13 @@ struct MapServer::Impl {
   int stop_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> serving_{false};
+  // Session threads by session id.  A session thread records its id in
+  // finished_sessions_ as its last act; the accept loop joins those before
+  // it spawns the next one, so an exited thread's stack is released
+  // instead of accumulating for the daemon's lifetime.
   std::mutex threads_mu_;
-  std::vector<std::thread> session_threads_;
+  std::unordered_map<std::uint64_t, std::thread> session_threads_;
+  std::vector<std::uint64_t> finished_sessions_;
 
   // --- the shared read queue (the cross-request coalescer's input) ------
   std::mutex queue_mu_;
@@ -640,14 +645,23 @@ struct MapServer::Impl {
         tv.tv_sec = config_.request_timeout_sec;
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
       }
-      auto session = std::make_shared<Session>(fd, ++session_seq_);
+      const std::uint64_t id = ++session_seq_;
+      auto session = std::make_shared<Session>(fd, id);
       obs::ServeSessions("accepted").Inc();
       obs::ServeSessionsActive().Add(1);
       std::lock_guard<std::mutex> lock(threads_mu_);
-      session_threads_.emplace_back(
-          [this, session = std::move(session)]() mutable {
+      for (const std::uint64_t done : finished_sessions_) {
+        const auto it = session_threads_.find(done);
+        it->second.join();
+        session_threads_.erase(it);
+      }
+      finished_sessions_.clear();
+      session_threads_.emplace(
+          id, std::thread([this, id, session = std::move(session)]() mutable {
             SessionMain(std::move(session));
-          });
+            std::lock_guard<std::mutex> done_lock(threads_mu_);
+            finished_sessions_.push_back(id);
+          }));
     }
     serving_.store(false, std::memory_order_release);
 
@@ -657,10 +671,16 @@ struct MapServer::Impl {
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(config_.socket_path.c_str());
+    // Join outside the lock: each session thread takes it as its last act.
+    std::unordered_map<std::uint64_t, std::thread> live;
     {
       std::lock_guard<std::mutex> lock(threads_mu_);
-      for (std::thread& t : session_threads_) t.join();
-      session_threads_.clear();
+      live.swap(session_threads_);
+    }
+    for (auto& entry : live) entry.second.join();
+    {
+      std::lock_guard<std::mutex> lock(threads_mu_);
+      finished_sessions_.clear();
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);

@@ -33,12 +33,17 @@ bool Avx512Compiled() { return true; }
 namespace {
 
 constexpr int kLanes = 8;
+// Every 64-bit shift below is the zero-masked form under an all-ones mask:
+// the same vpsrlq/vpsllq, but without the unmasked intrinsics'
+// _mm512_undefined_epi32() passthrough that GCC 12 misreports as an
+// uninitialized read (GCC bug 105593).
+constexpr __mmask8 kAllLanes = 0xFF;
 
 inline __m512i Srl(__m512i v, int n) {
-  return _mm512_srl_epi64(v, _mm_cvtsi32_si128(n));
+  return _mm512_maskz_srl_epi64(kAllLanes, v, _mm_cvtsi32_si128(n));
 }
 inline __m512i Sll(__m512i v, int n) {
-  return _mm512_sll_epi64(v, _mm_cvtsi32_si128(n));
+  return _mm512_maskz_sll_epi64(kAllLanes, v, _mm_cvtsi32_si128(n));
 }
 
 void VShiftToLater(const __m512i* src, __m512i* dst, int nwords, int bits) {
@@ -90,18 +95,24 @@ inline void VAnd(__m512i* dst, const __m512i* src, int nwords) {
 
 /// CompressPairsOr64, lane-parallel.
 inline __m512i VCompress(__m512i w) {
-  __m512i t = _mm512_and_si512(_mm512_or_si512(w, _mm512_srli_epi64(w, 1)),
-                               _mm512_set1_epi64(0x5555555555555555LL));
-  t = _mm512_and_si512(_mm512_or_si512(t, _mm512_srli_epi64(t, 1)),
-                       _mm512_set1_epi64(0x3333333333333333LL));
-  t = _mm512_and_si512(_mm512_or_si512(t, _mm512_srli_epi64(t, 2)),
-                       _mm512_set1_epi64(0x0F0F0F0F0F0F0F0FLL));
-  t = _mm512_and_si512(_mm512_or_si512(t, _mm512_srli_epi64(t, 4)),
-                       _mm512_set1_epi64(0x00FF00FF00FF00FFLL));
-  t = _mm512_and_si512(_mm512_or_si512(t, _mm512_srli_epi64(t, 8)),
-                       _mm512_set1_epi64(0x0000FFFF0000FFFFLL));
-  t = _mm512_and_si512(_mm512_or_si512(t, _mm512_srli_epi64(t, 16)),
-                       _mm512_set1_epi64(0x00000000FFFFFFFFLL));
+  __m512i t = _mm512_and_si512(
+      _mm512_or_si512(w, _mm512_maskz_srli_epi64(kAllLanes, w, 1)),
+      _mm512_set1_epi64(0x5555555555555555LL));
+  t = _mm512_and_si512(
+      _mm512_or_si512(t, _mm512_maskz_srli_epi64(kAllLanes, t, 1)),
+      _mm512_set1_epi64(0x3333333333333333LL));
+  t = _mm512_and_si512(
+      _mm512_or_si512(t, _mm512_maskz_srli_epi64(kAllLanes, t, 2)),
+      _mm512_set1_epi64(0x0F0F0F0F0F0F0F0FLL));
+  t = _mm512_and_si512(
+      _mm512_or_si512(t, _mm512_maskz_srli_epi64(kAllLanes, t, 4)),
+      _mm512_set1_epi64(0x00FF00FF00FF00FFLL));
+  t = _mm512_and_si512(
+      _mm512_or_si512(t, _mm512_maskz_srli_epi64(kAllLanes, t, 8)),
+      _mm512_set1_epi64(0x0000FFFF0000FFFFLL));
+  t = _mm512_and_si512(
+      _mm512_or_si512(t, _mm512_maskz_srli_epi64(kAllLanes, t, 16)),
+      _mm512_set1_epi64(0x00000000FFFFFFFFLL));
   return t;
 }
 
@@ -125,7 +136,8 @@ void VReduce(const __m512i* diff, int length, __m512i* mask) {
   for (int m = 0; m < mask64; ++m) {
     const int hi = 2 * m;
     const int lo = 2 * m + 1;
-    __m512i w = _mm512_slli_epi64(hi < enc64 ? VCompress(diff[hi]) : zero, 32);
+    __m512i w = _mm512_maskz_slli_epi64(
+        kAllLanes, hi < enc64 ? VCompress(diff[hi]) : zero, 32);
     if (lo < enc64) w = _mm512_or_si512(w, VCompress(diff[lo]));
     mask[m] = w;
   }
@@ -151,14 +163,18 @@ void VAmend(__m512i* mask, int nwords) {
     const __m512i cur = mask[i];
     const __m512i next =
         i + 1 < nwords ? mask[i + 1] : _mm512_setzero_si512();
-    const __m512i l1 = _mm512_or_si512(_mm512_srli_epi64(cur, 1),
-                                       _mm512_slli_epi64(prev, 63));
-    const __m512i l2 = _mm512_or_si512(_mm512_srli_epi64(cur, 2),
-                                       _mm512_slli_epi64(prev, 62));
-    const __m512i r1 = _mm512_or_si512(_mm512_slli_epi64(cur, 1),
-                                       _mm512_srli_epi64(next, 63));
-    const __m512i r2 = _mm512_or_si512(_mm512_slli_epi64(cur, 2),
-                                       _mm512_srli_epi64(next, 62));
+    const __m512i l1 =
+        _mm512_or_si512(_mm512_maskz_srli_epi64(kAllLanes, cur, 1),
+                        _mm512_maskz_slli_epi64(kAllLanes, prev, 63));
+    const __m512i l2 =
+        _mm512_or_si512(_mm512_maskz_srli_epi64(kAllLanes, cur, 2),
+                        _mm512_maskz_slli_epi64(kAllLanes, prev, 62));
+    const __m512i r1 =
+        _mm512_or_si512(_mm512_maskz_slli_epi64(kAllLanes, cur, 1),
+                        _mm512_maskz_srli_epi64(kAllLanes, next, 63));
+    const __m512i r2 =
+        _mm512_or_si512(_mm512_maskz_slli_epi64(kAllLanes, cur, 2),
+                        _mm512_maskz_srli_epi64(kAllLanes, next, 62));
     const __m512i amend = _mm512_or_si512(
         _mm512_and_si512(l1, _mm512_or_si512(r1, r2)),
         _mm512_and_si512(l2, r1));

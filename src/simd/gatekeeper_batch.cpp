@@ -166,7 +166,7 @@ void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
   // Candidate shape: all lanes' reference windows come out of the encoded
   // genome in one lane-parallel gather; the per-lane remainder is the
   // bypass test and the strand reorientation.
-  std::int64_t starts[kMaxGroupLanes];
+  std::int64_t starts[kMaxGroupLanes] = {};
   for (int l = 0; l < lanes; ++l) {
     starts[l] = block.candidates[i0 + static_cast<std::size_t>(l)].ref_pos;
   }

@@ -140,8 +140,14 @@ TEST(BandedTest, IndelPairsStayWithinDoubledBudget) {
 }
 
 TEST(BandedTest, AgreesWithMyersWithinThreshold) {
+  // The production verifier (bit-vector) must reproduce the int-DP
+  // reference exactly: the distance when it is <= k, -1 beyond.  One
+  // verifier serves every call, in shuffled order across pattern lengths
+  // and alphabets, so pattern bits left behind by an earlier call would
+  // surface as a divergence.
   Rng rng(17);
   MyersAligner aligner;
+  BandedVerifier verifier;
   for (int trial = 0; trial < 300; ++trial) {
     const int length = 100;
     const int edits = static_cast<int>(rng.Uniform(30));
@@ -155,7 +161,59 @@ TEST(BandedTest, AgreesWithMyersWithinThreshold) {
     } else {
       EXPECT_EQ(banded, -1) << "trial " << trial;
     }
+    EXPECT_EQ(verifier.Distance(p.read, p.ref, k), banded)
+        << "trial " << trial;
   }
+
+  // Single- and multi-word patterns, |m - n| from 0 to k + 1 either way,
+  // N and lowercase bases (compared as distinct characters, like any
+  // other byte).
+  constexpr char kAlphabet[] = "ACGTNacgtn";
+  const auto random_base = [&] {
+    return rng.Bernoulli(0.85) ? kBases[rng.NextU64() & 0x3u]
+                               : kAlphabet[4 + rng.Uniform(6)];
+  };
+  struct Case {
+    int m;
+    int n;
+    int k;
+  };
+  std::vector<Case> cases;
+  for (const int m : {0, 1, 63, 64, 65, 100, 127, 128, 129, 250}) {
+    for (const int k : {0, 1, 5, 31, 40}) {
+      for (int delta = 0; delta <= k + 1; ++delta) {
+        for (const int sign : {1, -1}) {
+          if (m + sign * delta >= 0) cases.push_back({m, m + sign * delta, k});
+        }
+      }
+    }
+  }
+  for (std::size_t i = cases.size(); i > 1; --i) {
+    std::swap(cases[i - 1], cases[rng.Uniform(i)]);
+  }
+  int accepted = 0;
+  int rejected = 0;
+  for (const Case& c : cases) {
+    std::string a(static_cast<std::size_t>(c.m), 'A');
+    for (char& ch : a) ch = random_base();
+    // b: a with a few edits, then trimmed or padded to length n.
+    std::string b = a;
+    const int planted = static_cast<int>(rng.Uniform(
+        static_cast<std::uint64_t>(c.k) + 3));
+    for (int e = 0; e < planted && !b.empty(); ++e) {
+      b[rng.Uniform(b.size())] = random_base();
+    }
+    while (static_cast<int>(b.size()) > c.n) b.erase(rng.Uniform(b.size()), 1);
+    while (static_cast<int>(b.size()) < c.n) {
+      b.insert(rng.Uniform(b.size() + 1), 1, random_base());
+    }
+    const int want = BandedEditDistance(a, b, c.k);
+    (want >= 0 ? accepted : rejected) += 1;
+    EXPECT_EQ(verifier.Distance(a, b, c.k), want)
+        << "m " << c.m << " n " << c.n << " k " << c.k;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // Full-matrix reference for LocalAligner::BestFit: identical recurrence,
@@ -287,11 +345,11 @@ TEST(BestFitBandTest, MatchesFullMatrixOnRandomizedGrid) {
     }
     const int max_edits = static_cast<int>(rng.Uniform(11));
     // Mix begin geometries: unrestricted, tight around the planted
-    // offset, and degenerate (column 0 only).
+    // offset, degenerate (column 0 only), mid-window, and at or past the
+    // window's end.
     const std::int64_t max_begins[] = {-1, offset, offset + max_edits, 0,
-                                       n};
-    const std::int64_t max_begin =
-        max_begins[rng.Uniform(5)];
+                                       n / 2, n, n + 7};
+    const std::int64_t max_begin = max_begins[rng.Uniform(7)];
     const std::string label = "trial " + std::to_string(trial) + " m " +
                               std::to_string(read.size()) + " n " +
                               std::to_string(n) + " e " +
@@ -332,14 +390,25 @@ TEST(BestFitBandTest, IndelsAtTheBandEdgesAreNotClipped) {
 }
 
 TEST(BestFitBandTest, ShrinkingWindowsReuseTheMatrixSafely) {
-  // Alternate large and small problems on one aligner so the small calls
-  // run inside a matrix still holding the large calls' values.
+  // Grow and shrink the window and the read on one aligner, so most calls
+  // run inside a matrix still holding earlier calls' values — including
+  // all-'A' calls whose stale cells are small, in-budget values that a
+  // read outside the current call's spans would mistake for live ones.
   Rng rng(31);
   LocalAligner aligner;
-  for (int trial = 0; trial < 40; ++trial) {
-    const bool large = (trial % 2) == 0;
-    const int n = large ? 600 : 40;
-    const int m = large ? 100 : 24;
+  const int sizes[][2] = {{24, 40},  {100, 600}, {60, 90},  {150, 345},
+                          {100, 345}, {30, 700},  {8, 12},   {120, 130}};
+  for (int trial = 0; trial < 64; ++trial) {
+    const int m = sizes[trial % 8][0];
+    const int n = sizes[trial % 8][1];
+    if (trial % 3 == 2) {
+      const std::string poly_read(static_cast<std::size_t>(m), 'A');
+      const std::string poly_ref(static_cast<std::size_t>(n), 'A');
+      ExpectSameFit(aligner.BestFit(poly_read, poly_ref, 10, -1),
+                    ReferenceBestFit(poly_read, poly_ref, 10, -1),
+                    "poly trial " + std::to_string(trial));
+      continue;
+    }
     const std::string ref = RandomSeq(rng, static_cast<std::size_t>(n));
     const int offset =
         static_cast<int>(rng.Uniform(static_cast<std::uint64_t>(n - m) + 1));
@@ -348,10 +417,103 @@ TEST(BestFitBandTest, ShrinkingWindowsReuseTheMatrixSafely) {
     read[static_cast<std::size_t>(m / 2)] =
         read[static_cast<std::size_t>(m / 2)] == 'G' ? 'T' : 'G';
     const int max_edits = 4;
-    ExpectSameFit(aligner.BestFit(read, ref, max_edits, -1),
-                  ReferenceBestFit(read, ref, max_edits, -1),
+    const std::int64_t max_begin = trial % 2 == 0 ? -1 : offset;
+    ExpectSameFit(aligner.BestFit(read, ref, max_edits, max_begin),
+                  ReferenceBestFit(read, ref, max_edits, max_begin),
                   "trial " + std::to_string(trial));
   }
+}
+
+TEST(BestFitBandTest, SpansThatEmptyMidReadFindNothing) {
+  // The read's prefix matches, its suffix is unrelated: the live span
+  // narrows to the planted locus and then empties part-way down, so no
+  // placement fits — while the unmutated read still fits exactly.
+  Rng rng(37);
+  LocalAligner aligner;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int m = 40 + static_cast<int>(rng.Uniform(80));
+    const int n = 2 * m + static_cast<int>(rng.Uniform(200));
+    const std::string ref = RandomSeq(rng, static_cast<std::size_t>(n));
+    const int offset =
+        static_cast<int>(rng.Uniform(static_cast<std::uint64_t>(n - m) + 1));
+    const std::string exact = ref.substr(static_cast<std::size_t>(offset),
+                                         static_cast<std::size_t>(m));
+    const std::string broken =
+        exact.substr(0, static_cast<std::size_t>(m / 2)) +
+        RandomSeq(rng, static_cast<std::size_t>(m - m / 2));
+    const int max_edits = static_cast<int>(rng.Uniform(3));
+    const std::string label = "trial " + std::to_string(trial);
+    const LocalAlignment none = aligner.BestFit(broken, ref, max_edits, -1);
+    EXPECT_EQ(none.edits, -1) << label;
+    ExpectSameFit(none, ReferenceBestFit(broken, ref, max_edits, -1), label);
+    const LocalAlignment fit = aligner.BestFit(exact, ref, max_edits, -1);
+    EXPECT_EQ(fit.edits, 0) << label;
+    ExpectSameFit(fit, ReferenceBestFit(exact, ref, max_edits, -1), label);
+  }
+}
+
+TEST(BestFitBandTest, DeletionChainsRunPastThePreviousSpan) {
+  // The placement starts at max_begin, matches one base, then skips `gap`
+  // reference bases: row 1's span runs along a D chain past row 0's
+  // hi + 1 (the begin limit), and the traceback walks back along it over
+  // row-0 cells the call never wrote.  An unrestricted call before each
+  // target leaves row 0 all zeros, which would pass for free starts.
+  Rng rng(41);
+  LocalAligner aligner;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int gap = 1 + static_cast<int>(rng.Uniform(6));
+    const int m = 30 + static_cast<int>(rng.Uniform(80));
+    const int n = m + gap + 20 + static_cast<int>(rng.Uniform(250));
+    aligner.BestFit(RandomSeq(rng, static_cast<std::size_t>(m)),
+                    RandomSeq(rng, static_cast<std::size_t>(n)), 3, -1);
+    const std::string ref = RandomSeq(rng, static_cast<std::size_t>(n));
+    const int begin = static_cast<int>(
+        rng.Uniform(static_cast<std::uint64_t>(n - m - gap) + 1));
+    const std::string read =
+        ref.substr(static_cast<std::size_t>(begin), 1) +
+        ref.substr(static_cast<std::size_t>(begin + 1 + gap),
+                   static_cast<std::size_t>(m - 1));
+    const int max_edits = gap + static_cast<int>(rng.Uniform(3));
+    const std::string label = "trial " + std::to_string(trial) + " gap " +
+                              std::to_string(gap);
+    const LocalAlignment got = aligner.BestFit(read, ref, max_edits, begin);
+    ExpectSameFit(got, ReferenceBestFit(read, ref, max_edits, begin), label);
+    EXPECT_GE(got.edits, 0) << label;
+    EXPECT_LE(got.edits, gap) << label;
+    EXPECT_LE(got.ref_begin, begin) << label;
+  }
+}
+
+TEST(BestFitBandTest, TandemRepeatsCountEveryPlacement) {
+  // A read inside a tandem repeat fits equally well at every copy of the
+  // unit; the spans stay wide all the way down and the multiplicity scan
+  // must see every tied cluster.
+  Rng rng(43);
+  LocalAligner aligner;
+  int repeats_seen = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int unit_len = 7 + static_cast<int>(rng.Uniform(20));
+    const std::string unit =
+        RandomSeq(rng, static_cast<std::size_t>(unit_len));
+    std::string ref = RandomSeq(rng, 30);
+    const int copies = 6 + static_cast<int>(rng.Uniform(10));
+    for (int c = 0; c < copies; ++c) ref += unit;
+    ref += RandomSeq(rng, 30);
+    const int m = 2 * unit_len + static_cast<int>(rng.Uniform(
+                                     static_cast<std::uint64_t>(unit_len)));
+    std::string read = ref.substr(30, static_cast<std::size_t>(m));
+    if (trial % 2 == 1) read[static_cast<std::size_t>(m / 3)] = 'N';
+    const int max_edits = static_cast<int>(rng.Uniform(4));
+    const std::int64_t max_begin =
+        trial % 3 == 0 ? -1
+                       : static_cast<std::int64_t>(ref.size()) / 2;
+    const LocalAlignment got =
+        aligner.BestFit(read, ref, max_edits, max_begin);
+    ExpectSameFit(got, ReferenceBestFit(read, ref, max_edits, max_begin),
+                  "trial " + std::to_string(trial));
+    if (got.placements > 1) ++repeats_seen;
+  }
+  EXPECT_GT(repeats_seen, 10);
 }
 
 }  // namespace

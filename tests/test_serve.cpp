@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -426,6 +427,43 @@ TEST_F(ServeTest, ShutdownRacingTheServerReturnTouchesNoClosedDescriptor) {
   server.Shutdown();  // still safe once the server has returned
   std::signal(SIGPIPE, old_sigpipe);
   EXPECT_FALSE(std::filesystem::exists(scfg.socket_path));
+}
+
+/// Lines in /proc/self/maps: every live or exited-but-unjoined thread
+/// keeps its stack (and guard page) mapped.
+std::size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(ServeTest, SequentialSessionsDoNotAccumulateThreadStacks) {
+  // A long-lived daemon serves one connection after another; a session
+  // thread left unjoined after it exits keeps its stack mapped, so the
+  // process's mappings grew by ~2 per job without bound.
+  const auto seqs = SimulateReadSequences(
+      ref_.text(), 4, kReadLength, ReadErrorProfile::Illumina(), 13);
+  const std::string fastq_text = MakeFastq("s", seqs);
+  constexpr int kWarmup = 20;
+  constexpr int kSessions = 200;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  const serve::ServeStats stats =
+      WithServer(BaseConfig(), [&](const std::string& socket) {
+        for (int job = 0; job < kWarmup + kSessions; ++job) {
+          if (job == kWarmup) before = MappingCount();
+          std::istringstream fastq(fastq_text);
+          std::ostringstream sam;
+          serve::MapOverSocket(socket, fastq, sam);
+        }
+        after = MappingCount();
+      });
+  EXPECT_EQ(stats.sessions_completed,
+            static_cast<std::uint64_t>(kWarmup + kSessions));
+  EXPECT_LT(after, before + kSessions / 4)
+      << "mappings grew from " << before << " to " << after << " over "
+      << kSessions << " sessions";
 }
 
 TEST(ServeProtocolTest, JobSpecRoundTripIgnoresUnknownKeys) {
