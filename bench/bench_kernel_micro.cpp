@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "align/banded.hpp"
+#include "align/cigar.hpp"
 #include "align/local.hpp"
 #include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
@@ -119,6 +120,16 @@ void BM_ExactAligners(benchmark::State& state) {
   rescued.erase(50, 1);
   rescued[80] = rescued[80] == 'G' ? 'T' : 'G';
   LocalAligner local;
+  // CIGAR-shaped: a verified 100 bp candidate (two substitutions, one
+  // deletion, one insertion) aligned with its confirmed distance as the
+  // band, as the verify workers call it.
+  const std::string v_ref = GenerateGenome(100, 17);
+  std::string v_read = v_ref;
+  v_read[15] = v_read[15] == 'A' ? 'C' : 'A';
+  v_read.erase(40, 1);
+  v_read.insert(70, 1, v_read[70] == 'G' ? 'T' : 'G');
+  v_read[90] = v_read[90] == 'T' ? 'A' : 'T';
+  const int v_edits = BandedEditDistance(v_read, v_ref, 5);
   for (auto _ : state) {
     switch (which) {
       case 0:
@@ -133,17 +144,20 @@ void BM_ExactAligners(benchmark::State& state) {
       case 3:
         benchmark::DoNotOptimize(verifier.Distance(p.read, p.ref, 5));
         break;
-      default:
+      case 4:
         benchmark::DoNotOptimize(local.BestFit(rescued, window, 5, 240));
+        break;
+      default:
+        benchmark::DoNotOptimize(BandedAlign(v_read, v_ref, v_edits));
         break;
     }
   }
   static constexpr const char* kLabels[] = {
       "NW-DP", "Myers", "Banded-k10", "BandedVerifier-k5",
-      "BestFit-rescue-345bp"};
+      "BestFit-rescue-345bp", "BandedAlign-k5"};
   state.SetLabel(kLabels[which]);
 }
-BENCHMARK(BM_ExactAligners)->DenseRange(0, 4);
+BENCHMARK(BM_ExactAligners)->DenseRange(0, 5);
 
 }  // namespace
 }  // namespace gkgpu

@@ -28,74 +28,77 @@ Alignment BandedAlign(std::string_view read, std::string_view ref, int k) {
   const int m = static_cast<int>(read.size());
   const int n = static_cast<int>(ref.size());
   if (k < 0 || std::abs(m - n) > k) return {};
+  const char* const a = read.data();
+  const char* const b = ref.data();
+  // row(i)[d] = D[i][i + d - k] for d in [0, 2k]; the full band is kept
+  // for the traceback.  Each row carries a kInf sentinel column on either
+  // side (d = -1 and d = width), so the recurrence needs no bounds
+  // branches.  The buffer is reused per thread; every cell a call reads,
+  // it wrote.
   const int width = 2 * k + 1;
-  // dp[i * width + d] = D[i][i + d - k]; full matrix kept for traceback.
-  std::vector<int> dp(static_cast<std::size_t>(m + 1) * width, kInf);
-  auto at = [&](int i, int d) -> int& {
-    return dp[static_cast<std::size_t>(i) * width + d];
+  const int stride = width + 2;
+  thread_local std::vector<int> dp;
+  const std::size_t cells = static_cast<std::size_t>(m + 1) * stride;
+  if (dp.size() < cells) dp.resize(cells);
+  const auto row = [&](int i) {
+    return dp.data() + static_cast<std::size_t>(i) * stride + 1;
   };
+  int* const r0 = row(0);
+  r0[-1] = kInf;
+  r0[width] = kInf;
   for (int d = 0; d < width; ++d) {
     const int j = d - k;
-    if (j >= 0 && j <= n) at(0, d) = j;
+    r0[d] = j >= 0 && j <= n ? j : kInf;
   }
   for (int i = 1; i <= m; ++i) {
-    for (int d = 0; d < width; ++d) {
-      const int j = i + d - k;
-      if (j < 0 || j > n) continue;
-      int v = kInf;
-      if (j == 0) {
-        v = i;
-      } else {
-        if (d + 1 < width && at(i - 1, d + 1) < kInf) {
-          v = std::min(v, at(i - 1, d + 1) + 1);  // I: read base unmatched
-        }
-        if (d - 1 >= 0 && at(i, d - 1) < kInf) {
-          v = std::min(v, at(i, d - 1) + 1);  // D: ref base unmatched
-        }
-        if (at(i - 1, d) < kInf) {
-          const int cost = read[static_cast<std::size_t>(i - 1)] ==
-                                   ref[static_cast<std::size_t>(j - 1)]
-                               ? 0
-                               : 1;
-          v = std::min(v, at(i - 1, d) + cost);  // M
-        }
-      }
-      at(i, d) = v;
+    const int* prev = row(i - 1);
+    int* cur = row(i);
+    cur[-1] = kInf;
+    cur[width] = kInf;
+    // Only live cells, j = i + d - k in [0, n], are computed, and only
+    // live cells or sentinels are ever read: a live cell's neighbours in
+    // the previous row (d, d + 1) and this row (d - 1) are live or lie
+    // outside [0, 2k].  The diagonal predecessor of a live cell with j > 0
+    // is live, so every value is finite and a kInf + 1 candidate never
+    // wins.
+    const int dlo = std::max(0, k - i);
+    const int dhi = std::min(width - 1, n + k - i);
+    int d = dlo;
+    if (i <= k) cur[d++] = i;  // j == 0
+    const char ai = a[i - 1];
+    const int j0 = i - k - 1;  // b[j0 + d] is the ref base of column d
+    for (; d <= dhi; ++d) {
+      // I: prev[d + 1] + 1, D: cur[d - 1] + 1, M: prev[d] + mismatch.
+      const int gap = std::min(prev[d + 1], cur[d - 1]) + 1;
+      cur[d] = std::min(gap, prev[d] + (ai != b[j0 + d]));
     }
   }
   const int d_final = n - m + k;
-  if (d_final < 0 || d_final >= width || at(m, d_final) > k) return {};
-
+  if (row(m)[d_final] > k) return {};
   Alignment result;
-  result.distance = at(m, d_final);
-  // Traceback from (m, n), preferring M so runs stay long.
-  std::string ops;
+  result.distance = row(m)[d_final];
+
+  // Traceback from (m, n), preferring M so runs stay long.  It reads the
+  // same live cells and sentinels as the recurrence; every cell on the
+  // path is finite (<= k), so a sentinel (kInf + 1) never matches.
+  thread_local std::string ops;
+  ops.clear();
   int i = m;
   int d = d_final;
   while (i > 0 || i + d - k > 0) {
     const int j = i + d - k;
-    const int cur = at(i, d);
-    if (i > 0 && j > 0 && at(i - 1, d) < kInf) {
-      const int cost = read[static_cast<std::size_t>(i - 1)] ==
-                               ref[static_cast<std::size_t>(j - 1)]
-                           ? 0
-                           : 1;
-      if (at(i - 1, d) + cost == cur) {
-        ops.push_back('M');
-        --i;
-        continue;
-      }
-    }
-    if (i > 0 && d + 1 < width && at(i - 1, d + 1) < kInf &&
-        at(i - 1, d + 1) + 1 == cur) {
-      ops.push_back('I');
+    const int cur = row(i)[d];
+    if (i > 0 && j > 0 && row(i - 1)[d] + (a[i - 1] != b[j - 1]) == cur) {
+      ops.push_back('M');
+      --i;
+    } else if (i > 0 && row(i - 1)[d + 1] + 1 == cur) {
+      ops.push_back('I');  // read base unmatched
       --i;
       ++d;
-      continue;
+    } else {
+      ops.push_back('D');  // ref base unmatched
+      --d;
     }
-    // Remaining possibility: ref base unmatched.
-    ops.push_back('D');
-    --d;
   }
   std::reverse(ops.begin(), ops.end());
   result.cigar = CompressCigarOps(ops);

@@ -42,6 +42,21 @@ struct Collector {
 // with the collector's initialized contents.
 std::atomic<Collector*> g_collector{nullptr};
 
+// Collectors that tracing has moved past.  They are never freed, since a
+// racing Span may still hold a pointer it loaded before the swap, but they
+// stay reachable, so leak checkers see retained memory rather than a leak.
+std::mutex g_retired_mu;
+std::vector<Collector*>& RetiredCollectors() {
+  static auto* retired = new std::vector<Collector*>;
+  return *retired;
+}
+
+void Retire(Collector* c) {
+  if (c == nullptr) return;
+  std::lock_guard<std::mutex> lock(g_retired_mu);
+  RetiredCollectors().push_back(c);
+}
+
 // Survives Stop/Start cycles so names registered before StartTracing
 // (threads usually outlive trace sessions) still label the output.
 std::mutex g_names_mu;
@@ -93,10 +108,7 @@ void StartTracing() {
     std::lock_guard<std::mutex> lock(g_names_mu);
     c->thread_names = PersistentNames();
   }
-  g_collector.exchange(c, std::memory_order_acq_rel);
-  // A previous collector is never deleted: a racing Span may still hold
-  // its pointer.  One leaked collector per trace session, which is once
-  // per process run in practice.
+  Retire(g_collector.exchange(c, std::memory_order_acq_rel));
 }
 
 void RegisterTraceThreadName(const std::string& name) {
@@ -144,8 +156,9 @@ std::string StopTracing() {
   if (c == nullptr) return "{\"traceEvents\":[]}\n";
   // A racing Span that loaded the pointer before the exchange may still
   // append under c->mu; taking the lock here serializes with it, and the
-  // collector is never freed (see StartTracing), so a late append after
-  // rendering is merely lost, not a use-after-free.
+  // collector is retired, never freed, so a late append after rendering is
+  // merely lost, not a use-after-free.
+  Retire(c);
   std::lock_guard<std::mutex> lock(c->mu);
   const std::uint64_t pid = ProcessId();
   std::ostringstream out;
@@ -171,6 +184,9 @@ std::string StopTracing() {
     out << ",\"metadata\":{\"dropped_events\":" << c->dropped << "}";
   }
   out << "}\n";
+  // A retired collector keeps only its shell.
+  std::vector<TraceEvent>().swap(c->events);
+  c->thread_names.clear();
   return out.str();
 }
 

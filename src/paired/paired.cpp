@@ -13,8 +13,6 @@
 #include <string_view>
 #include <tuple>
 
-#include "align/banded.hpp"
-#include "align/cigar.hpp"
 #include "align/local.hpp"
 #include "encode/revcomp.hpp"
 #include "mapper/mapq.hpp"
@@ -29,13 +27,15 @@ namespace {
 
 /// One pair's state from seeding to finalization.  c1/c2 are the *pruned*
 /// oriented candidate lists; e1/e2 the banded edit distance per candidate
-/// (-1 = filter rejected or verification refuted), filled from the
-/// pipeline's verified batches.
+/// (-1 = filter rejected or verification refuted) and cigar1/cigar2 the
+/// verify workers' CIGAR per confirmed candidate (empty when no SAM is
+/// written), both filled from the pipeline's verified batches.
 struct PairTask {
   FastqRecord r1, r2;
   std::string rc1, rc2;  // reverse complements (verification + SAM)
   std::vector<OrientedCandidate> c1, c2;
   std::vector<int> e1, e2;
+  std::vector<std::string> cigar1, cigar2;
   std::uint64_t seeded = 0;  // oriented candidates before pairing
   bool skipped = false;      // mate length != read length
 };
@@ -119,6 +119,8 @@ void SeedPairTask(const ReadMapper& mapper, int L, std::int64_t max_insert,
   PruneConcordant(mapper.reference(), L, max_insert, &task->c1, &task->c2);
   task->e1.assign(task->c1.size(), -1);
   task->e2.assign(task->c2.size(), -1);
+  task->cigar1.resize(task->c1.size());
+  task->cigar2.resize(task->c2.size());
 }
 
 /// A mate's selected mapping (or lack of one) entering SAM emission.
@@ -140,10 +142,13 @@ struct MateBest {
   /// duplicate signatures must use this, not the read length, or indel
   /// rescues understate TLEN.
   int ref_span = 0;
-  /// Rescue-path CIGAR from the fit aligner's traceback (a rescued
-  /// placement may span != read-length reference bases, so the emitter
-  /// must not recompute it from a fixed window); empty = recompute.
-  std::string cigar;
+  /// The placement's CIGAR, viewed where it lives for the whole of
+  /// Finalize: the verify worker's BandedAlign over the L-wide window in
+  /// PairTask::cigar1/cigar2 for verified candidates, the fit aligner's
+  /// traceback in Finalize's rescue buffer for a rescued one (whose
+  /// reference span may differ from the read length).  Empty only when
+  /// the run writes no SAM.
+  std::string_view cigar;
 };
 
 /// Flow-cell coordinates parsed from an Illumina-style read name, for
@@ -225,8 +230,9 @@ struct PairFinalizer {
 
  private:
   double InsertPenalty(std::int64_t frag) const;
+  /// The returned MateBest's CIGAR views *cigar, which must outlive it.
   MateBest Rescue(const MateBest& anchor, const std::string& fwd,
-                  const std::string& rc);
+                  const std::string& rc, std::string* cigar);
   /// True (and remembers the signature) when this proper pair's fragment —
   /// keyed on (chromosome, position, strand, TLEN) — was already seen, so
   /// the later copy is the duplicate.  Finalization runs strictly in pair
@@ -284,7 +290,7 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
 /// L-wide windows could never fit), and yields the CIGAR directly from
 /// the traceback.  Deterministic, so every run rescues identically.
 MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
-                               const std::string& rc) {
+                               const std::string& rc, std::string* cigar) {
   const ReferenceSet& ref = mapper->reference();
   std::int64_t frag_lo = L;
   std::int64_t frag_hi = cfg->max_insert;
@@ -368,7 +374,8 @@ MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
   best.edit = fit.edits;
   best.ref_span = fit.ref_span;
   best.ambiguous = ambiguous;
-  best.cigar = fit.cigar;
+  *cigar = std::move(fit.cigar);
+  best.cigar = *cigar;
   return best;
 }
 
@@ -488,21 +495,9 @@ void PairFinalizer::EmitMate(const FastqRecord& rec, const std::string& rc,
   out.seq = seq;
   out.qual = qual;
 
-  std::string cigar;
   if (me.mapped) {
-    if (!me.cigar.empty()) {
-      // Rescue placements carry the fit aligner's traceback; their
-      // reference span may differ from the read length, so recomputing
-      // against a fixed L-wide window would be wrong.
-      cigar = me.cigar;
-    } else {
-      const std::string_view window(mapper->genome().data() + me.pos,
-                                    static_cast<std::size_t>(L));
-      const Alignment aln = BandedAlign(seq, window, me.edit);
-      cigar =
-          aln.distance >= 0 ? aln.cigar : std::to_string(seq.size()) + "M";
-    }
-    out.cigar = cigar;
+    assert(!me.cigar.empty());
+    out.cigar = me.cigar;
     out.nm = me.edit;
   }
   WriteSam(*sam, out);
@@ -519,20 +514,26 @@ void PairFinalizer::Finalize(const PairTask& task) {
 
   // Verified mappings per mate.
   std::vector<MateBest> v1, v2;
-  const auto verified_mate = [this](const OrientedCandidate& c, int edits) {
+  const auto verified_mate = [this](const OrientedCandidate& c, int edits,
+                                     std::string_view cigar) {
     MateBest m;
     m.mapped = true;
     m.pos = c.pos;
     m.strand = c.strand;
     m.edit = edits;
     m.ref_span = L;
+    m.cigar = cigar;
     return m;
   };
   for (std::size_t i = 0; i < task.c1.size(); ++i) {
-    if (task.e1[i] >= 0) v1.push_back(verified_mate(task.c1[i], task.e1[i]));
+    if (task.e1[i] >= 0) {
+      v1.push_back(verified_mate(task.c1[i], task.e1[i], task.cigar1[i]));
+    }
   }
   for (std::size_t i = 0; i < task.c2.size(); ++i) {
-    if (task.e2[i] >= 0) v2.push_back(verified_mate(task.c2[i], task.e2[i]));
+    if (task.e2[i] >= 0) {
+      v2.push_back(verified_mate(task.c2[i], task.e2[i], task.cigar2[i]));
+    }
   }
 
   // Per-mate placement summaries: the single-end MAPQ evidence.
@@ -635,8 +636,9 @@ void PairFinalizer::Finalize(const PairTask& task) {
   // Mate rescue: one mapped mate predicts where the other must lie.
   if (cfg->mate_rescue && (m1.mapped != m2.mapped)) {
     const MateBest& anchor = m1.mapped ? m1 : m2;
+    std::string rescue_cigar;
     MateBest rescued = Rescue(anchor, m1.mapped ? task.r2.seq : task.r1.seq,
-                              m1.mapped ? task.rc2 : task.rc1);
+                              m1.mapped ? task.rc2 : task.rc1, &rescue_cigar);
     if (rescued.mapped) {
       ++st.rescued_mates;
       // A rescued placement exists only because of its anchor: its
@@ -763,7 +765,10 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
   pcfg.reference_fingerprint = mapper_.reference().fingerprint();
   pcfg.verify = true;
   pcfg.verify_threshold = e;
-  pcfg.emit_cigar = false;  // the finalizer recomputes CIGARs per mate
+  // Verify workers align every confirmed candidate (the same BandedAlign
+  // on the same oriented read and L-wide window the emitter would run),
+  // so the ordered sink only routes CIGARs.
+  pcfg.emit_cigar = sam != nullptr;
   if (pcfg.adaptive) {
     // Retune adaptive knobs the caller left at the generic single-end
     // defaults to the paired preset; explicitly-set values stand.
@@ -797,8 +802,8 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
   // are stable deque references; the mutex guards only the deque's
   // structure (push/pop/index arithmetic).
   struct Pending : PairTask {
-    std::size_t received1 = 0;  // edits delivered into e1
-    std::size_t received2 = 0;  // edits delivered into e2
+    std::size_t received1 = 0;  // verdicts delivered into e1/cigar1
+    std::size_t received2 = 0;  // verdicts delivered into e2/cigar2
     bool complete() const {
       return received1 == e1.size() && received2 == e2.size();
     }
@@ -879,12 +884,13 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
         p = &pending[static_cast<std::size_t>(batch.read_index[i] -
                                               base_index)];
       }
-      // The mate column routes each edit to its list; within a mate,
+      // The mate column routes each verdict to its lists; within a mate,
       // candidates arrive in packing (= seeding) order.
-      if (batch.mate[i] == 0) {
-        p->e1[p->received1++] = batch.edits[i];
-      } else {
-        p->e2[p->received2++] = batch.edits[i];
+      const bool first = batch.mate[i] == 0;
+      const std::size_t slot = first ? p->received1++ : p->received2++;
+      (first ? p->e1 : p->e2)[slot] = batch.edits[i];
+      if (!batch.cigars.empty()) {
+        (first ? p->cigar1 : p->cigar2)[slot] = std::move(batch.cigars[i]);
       }
     }
     // Finalize every leading pair whose candidates all arrived, strictly

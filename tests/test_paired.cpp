@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -22,6 +23,7 @@
 
 #include "core/engine.hpp"
 #include "encode/revcomp.hpp"
+#include "io/index_io.hpp"
 #include "io/paired_fastq.hpp"
 #include "io/reference.hpp"
 #include "mapper/mapper.hpp"
@@ -122,12 +124,24 @@ PairedConfig MakePairedConfig() {
 }
 
 /// Maps `ps` through MapPairs from a FASTQ round trip (dual-file or
-/// interleaved), with the GateKeeper engine or without a filter.
+/// interleaved), with the GateKeeper engine or without a filter.  With
+/// `index`, the mapper aliases the mapped per-shard CSR and the engine
+/// loads the persisted 2-bit encoding, as `map --index` does; otherwise
+/// both are built from MakeReference().
 std::string MapSam(const PairSet& ps, bool filtered, bool interleaved,
-                   PairedStats* stats = nullptr) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
+                   PairedStats* stats = nullptr,
+                   const MappedIndexFile* index = nullptr) {
+  ReadMapper mapper =
+      index != nullptr ? ReadMapper(index->reference(),
+                                    index->seed_index().Alias(),
+                                    MakeMapperConfig())
+                       : ReadMapper(MakeReference(), MakeMapperConfig());
   PairedEndMapper paired(mapper, MakePairedConfig());
   EngineFixture fx;
+  if (index != nullptr) {
+    fx.engine->LoadReference(index->encoding(),
+                             index->reference_fingerprint());
+  }
   std::stringstream fq1, fq2;
   if (interleaved) {
     std::vector<FastqRecord> both;
@@ -193,6 +207,31 @@ TEST(PairedGoldenTest, FilteredAndUnfilteredMatchGoldenByteForByte) {
   EXPECT_LT(filtered_stats.candidates_paired,
             filtered_stats.candidates_seeded);
   EXPECT_GT(filtered_stats.proper_pairs, filtered_stats.pairs / 2);
+}
+
+TEST(PairedGoldenTest, MappedIndexMatchesGoldenByteForByte) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gkgpu_paired_golden_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+        ".gki"))
+          .string();
+  BuildAndWriteIndexFile(path, MakeReference(), MakeMapperConfig().k);
+  const MappedIndexFile index = MappedIndexFile::Open(path);
+  std::filesystem::remove(path);  // the mapping outlives the name
+  ASSERT_FALSE(index.seed_index().shard(0).owns_storage());
+
+  const PairSet ps = MakePairs(MakeReference(), 60, 77);
+  const std::string golden = ReadGolden();
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << GoldenPath();
+  EXPECT_EQ(MapSam(ps, /*filtered=*/true, /*interleaved=*/false, nullptr,
+                   &index),
+            golden)
+      << "filtered MapPairs over the mapped index drifted";
+  EXPECT_EQ(MapSam(ps, /*filtered=*/false, /*interleaved=*/false, nullptr,
+                   &index),
+            golden)
+      << "unfiltered MapPairs over the mapped index drifted";
 }
 
 TEST(PairedFlagsTest, EveryRecordCarriesConsistentPairSemantics) {

@@ -653,8 +653,7 @@ int FilterCmd(const Args& args) {
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
-int MapPairedCmd(const Args& args, ReferenceSet refset,
-                 const MappedIndexFile* mapped) {
+int MapPairedCmd(const Args& args, ReferenceInput& input) {
   const auto paired_files = args.GetList("paired");
   const std::string interleaved = args.Get("interleaved", "");
   if (interleaved.empty() && paired_files.size() != 2) {
@@ -696,17 +695,8 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = static_cast<int>(args.GetInt("e", 5));
-  // The paired path always seeds from an in-memory index, but when the
-  // reference came from an index file it should seed the way that file
-  // was built.
-  if (mapped != nullptr) {
-    mcfg.seed_mode = mapped->seed_mode();
-    if (mapped->seed_mode() == SeedMode::kMinimizer) {
-      mcfg.minimizer_w = mapped->minimizer_w();
-    }
-  }
-  if (!ApplySeedFlags(args, mapped, &mcfg)) return 2;
-  ReadMapper mapper(std::move(refset), mcfg);
+  if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
+  ReadMapper mapper = input.MakeMapper(mcfg);
 
   PairedConfig pconf;
   pconf.max_insert = args.GetInt("max-insert", 1000);
@@ -728,6 +718,7 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
     cfg.read_length = length;
     cfg.error_threshold = mcfg.error_threshold;
     engine = std::make_unique<GateKeeperGpuEngine>(cfg, set.ptrs);
+    input.LoadEngine(engine.get(), mapper);
   }
 
   const std::string sam_path = args.Get("sam", "");
@@ -789,7 +780,7 @@ int MapCmd(const Args& args) {
   if (!ok) return Usage();
   ObsRun obs_run(args);
   if (args.Has("paired") || args.Has("interleaved")) {
-    return MapPairedCmd(args, input.TakeReference(), input.mapped.get());
+    return MapPairedCmd(args, input);
   }
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
