@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the filtration core itself: per-pair
 // latency of GateKeeperFiltration across read lengths and error thresholds,
-// the amendment/count primitives, the baselines, and the exact aligners —
-// the numbers behind the throughput tables.
+// the amendment/count primitives, the encoded reverse complement, the
+// baselines, and the exact aligners — the numbers behind the throughput
+// tables.
 #include <benchmark/benchmark.h>
 
 #include "align/banded.hpp"
@@ -10,6 +11,7 @@
 #include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/encoded.hpp"
+#include "encode/revcomp.hpp"
 #include "filters/gatekeeper_core.hpp"
 #include "filters/magnet.hpp"
 #include "filters/shouji.hpp"
@@ -87,6 +89,21 @@ void BM_CountOneRuns(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountOneRuns)->Arg(4)->Arg(16);
+
+// The filter's lane loader reverse-complements the encoded read of every
+// reverse-strand candidate.
+void BM_ReverseComplementEncoded(benchmark::State& state) {
+  const int length = static_cast<int>(state.range(0));
+  const EncodedPair p = MakeEncoded(length, 0, 5);
+  Word out[kMaxEncodedWords];
+  for (auto _ : state) {
+    ReverseComplementEncoded(p.read, length, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("ReverseComplementEncoded-" + std::to_string(length));
+}
+BENCHMARK(BM_ReverseComplementEncoded)->Arg(100);
 
 void BM_BaselineFilter(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));

@@ -7,11 +7,13 @@
 //     -> verification (banded edit distance <= e)
 //     -> mapping records + the statistics Table 3 reports.
 //
-// MapReads is the one single-end driver: seeding feeds the candidate-mode
-// StreamingPipeline, which filters, verifies and hands back mappings in
-// input order.  Without a filter the same pipeline sends every candidate
-// to verification ("No Filter" rows); with a filter only accepted +
-// bypassed pairs get there.
+// MapReads runs an in-memory read set through the candidate-mode
+// StreamingPipeline, which filters, verifies and hands back mapping
+// records in input order (the tests, benches and replay use it; `gkgpu
+// map` streams FASTQ to SAM through pipeline::StreamFastqToSam, which
+// writes the same bytes).  Without a filter the same pipeline sends every
+// candidate to verification ("No Filter" rows); with a filter only
+// accepted + bypassed pairs get there.
 #ifndef GKGPU_MAPPER_MAPPER_HPP
 #define GKGPU_MAPPER_MAPPER_HPP
 
@@ -135,12 +137,17 @@ class ReadMapper {
                                  std::vector<OrientedCandidate>* candidates)
       const;
 
+  /// Adds a run's seeding and mapping counts to the process registry:
+  /// candidates seeded (in total, per seeder and, on a sharded index, per
+  /// shard) and reads mapped / unmapped.  Reads `reads`, `mapped_reads`,
+  /// `candidates_total` and `shard_candidates`.
+  void PublishSeedObservability(const MappingStats& stats) const;
+
  private:
   void CollectDense(std::string_view read,
                     std::vector<std::int64_t>* candidates) const;
   void CollectMinimizerSeeds(std::string_view read,
                              std::vector<std::int64_t>* candidates) const;
-  void PublishSeedObservability(const MappingStats& stats) const;
 
   ReferenceSet ref_;
   MapperConfig config_;

@@ -3,22 +3,44 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "io/fastq.hpp"
 #include "mapper/sam.hpp"
-#include "obs/names.hpp"
 #include "pipeline/candidate_packer.hpp"
 #include "pipeline/sam_group.hpp"
+#include "util/threadpool.hpp"
+#include "util/timer.hpp"
 
 namespace gkgpu::pipeline {
+
+namespace {
+
+/// Reads the source parses and seeds per fan-out.  A constant, so batches
+/// do not depend on the helper count.
+constexpr std::size_t kSeedChunk = 512;
+/// Reads per ParallelFor claim within a chunk.
+constexpr std::size_t kSeedGrain = 16;
+
+/// One read of the current chunk and its seeding result.
+struct SeededRead {
+  FastqRecord rec;
+  std::vector<OrientedCandidate> positions;
+};
+
+}  // namespace
 
 ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
                                 GateKeeperGpuEngine* engine,
                                 const ReadToSamConfig& config,
                                 std::ostream* sam) {
   ReadToSamStats out;
-  if (!engine->HasReference()) engine->LoadReference(mapper.genome());
+  if (engine != nullptr && !engine->HasReference()) {
+    engine->LoadReference(mapper.genome());
+  }
 
   PipelineConfig pcfg = config.pipeline;
   pcfg.reference_text = mapper.genome();
@@ -30,17 +52,70 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   StreamingPipeline pipeline(engine, pcfg);
 
   const ReferenceSet& ref = mapper.reference();
-  const int read_length = engine->config().read_length;
+  const SeedIndex& index = mapper.index();
+  // The filter's lanes are one read length wide; without a filter every
+  // read maps, whatever its length.
+  const std::size_t read_length =
+      engine != nullptr
+          ? static_cast<std::size_t>(engine->config().read_length)
+          : 0;
+  std::vector<std::uint64_t> shard_candidates(
+      index.shard_count() > 1 ? index.shard_count() : 0, 0);
 
+  // Seeding fans out per chunk: the source parses kSeedChunk reads, seeds
+  // them on the helper pool plus itself (each read into its own slot),
+  // then packs them serially in input order.  The helpers take the encode
+  // workers' share of the thread budget; in candidate mode the encode
+  // stage is nearly idle.
+  ThreadPool seed_pool(static_cast<unsigned>(pipeline.config().encode_workers),
+                       "gkgpu-seed");
   FastqStreamReader reader(fastq);
-  // `rec` carries the current read between source calls (a read whose
-  // candidates split across batches; PackCandidateBatch repeats its
-  // sequence in each batch's read table).
-  FastqRecord rec;
-  CandidateStream stream;
+  std::vector<SeededRead> chunk(kSeedChunk);
+  std::size_t chunk_size = 0;
+  std::size_t chunk_next = 0;
+  const auto refill_chunk = [&] {
+    chunk_size = 0;
+    chunk_next = 0;
+    while (chunk_size < kSeedChunk && reader.Next(&chunk[chunk_size].rec)) {
+      ++out.reads;
+      const std::size_t length = chunk[chunk_size].rec.seq.size();
+      if (read_length != 0 && length != read_length) {
+        ++out.skipped_reads;  // its slot takes the next record
+        continue;
+      }
+      ++chunk_size;
+    }
+    WallTimer seed_timer;
+    // ThreadPool does not carry exceptions across threads: keep the first
+    // and rethrow it here, on the source thread.
+    std::mutex error_mu;
+    std::exception_ptr error;
+    seed_pool.ParallelFor(0, chunk_size, kSeedGrain, [&](std::size_t b,
+                                                         std::size_t e) {
+      try {
+        std::string rc_buf;
+        std::vector<std::int64_t> seed_scratch;
+        for (std::size_t i = b; i < e; ++i) {
+          mapper.CollectCandidatesOriented(chunk[i].rec.seq, &rc_buf,
+                                           &seed_scratch, &chunk[i].positions);
+        }
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(error_mu);
+        if (!error) error = std::current_exception();
+      }
+    });
+    out.seed_seconds += seed_timer.Seconds();
+    if (error) std::rethrow_exception(error);
+    return chunk_size > 0;
+  };
+
+  // The read whose candidates are being packed; its record stays in the
+  // chunk until every candidate is out (a read whose candidates split
+  // across batches; PackCandidateBatch repeats its sequence in each
+  // batch's read table).
+  const SeededRead* current = nullptr;
   std::uint32_t read_counter = 0;
-  std::string rc_buf;
-  std::vector<std::int64_t> seed_scratch;
+  CandidateStream stream;
 
   const BatchSource source = [&](PairBatch* batch) {
     const std::size_t target = std::max<std::size_t>(
@@ -48,25 +123,26 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     PackCandidateBatch(
         batch, target, &stream,
         [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
-          for (;;) {
-            if (!reader.Next(&rec)) return nullptr;  // FASTQ exhausted
-            ++out.reads;
-            if (static_cast<int>(rec.seq.size()) != read_length) {
-              ++out.skipped_reads;
-              continue;
-            }
-            mapper.CollectCandidatesOriented(rec.seq, &rc_buf, &seed_scratch,
-                                             positions);
-            out.candidates += positions->size();
-            ++read_counter;
-            return &rec.seq;
+          if (chunk_next == chunk_size && !refill_chunk()) {
+            return nullptr;  // FASTQ exhausted
           }
+          SeededRead& r = chunk[chunk_next++];
+          positions->swap(r.positions);
+          out.candidates += positions->size();
+          if (!shard_candidates.empty()) {
+            for (const OrientedCandidate& oc : *positions) {
+              ++shard_candidates[index.plan().ShardOf(oc.pos)];
+            }
+          }
+          ++read_counter;
+          current = &r;
+          return &r.rec.seq;
         },
         [&](const OrientedCandidate& oc, bool last) {
           const int chrom = ref.Locate(oc.pos);
           assert(chrom >= 0);  // seeding only emits in-chromosome windows
           batch->read_index.push_back(read_counter - 1);
-          batch->read_names.push_back(rec.name);
+          batch->read_names.push_back(current->rec.name);
           batch->ref_chrom.push_back(chrom);
           batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
           batch->last_of_read.push_back(last ? 1 : 0);
@@ -101,9 +177,12 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
 
   out.pipeline = pipeline.Run(source, sink);
   assert(groups.empty());  // every read's last candidate flushes its group
-  obs::CandidatesSeeded().Inc(out.candidates);
-  obs::ReadsMapped().Inc(out.mapped_reads);
-  obs::ReadsUnmapped().Inc(out.reads - out.skipped_reads - out.mapped_reads);
+  MappingStats published;
+  published.reads = out.reads - out.skipped_reads;
+  published.candidates_total = out.candidates;
+  published.shard_candidates = std::move(shard_candidates);
+  published.mapped_reads = out.mapped_reads;
+  mapper.PublishSeedObservability(published);
   return out;
 }
 

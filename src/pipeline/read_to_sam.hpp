@@ -2,13 +2,15 @@
 //
 //   * StreamFastqToSam — FASTQ in, ordered SAM out, on the candidate-mode
 //     streaming path: reads are chunked off the stream, seeded against the
-//     mapper's k-mer index, and the (read, reference-offset) candidates
-//     flow through filtration (windows sliced from the per-device encoded
-//     reference — no per-candidate segment strings) and banded
-//     verification; the ordered sink writes one SAM line per verified
-//     mapping, addressed (chromosome, local position) through the mapper's
-//     ReferenceSet.  Memory stays bounded by the queue depths no matter
-//     the input size.
+//     mapper's k-mer index (each chunk fanned out over a small helper
+//     pool), and the (read, reference-offset) candidates flow through
+//     filtration (windows sliced from the per-device encoded reference —
+//     no per-candidate segment strings) and banded verification; the
+//     ordered sink writes one SAM line per verified mapping, addressed
+//     (chromosome, local position) through the mapper's ReferenceSet.
+//     Memory stays bounded by the queue depths no matter the input size.
+//     This is the single-end driver of `gkgpu map`, `pipeline --reads` and
+//     the golden tests.
 //   * FilterPairsStreaming — the streaming analogue of
 //     GateKeeperGpuEngine::FilterPairs over an in-memory pair set, used by
 //     the equivalence tests and the pipeline bench.
@@ -51,13 +53,19 @@ struct ReadToSamStats {
   std::uint64_t candidates = 0;
   std::uint64_t mappings = 0;
   std::uint64_t mapped_reads = 0;
+  /// Wall seconds the source spent seeding (the chunk fan-outs).
+  double seed_seconds = 0.0;
 };
 
 /// Streams `fastq` through seed -> candidate filtration -> verify -> SAM.
-/// The engine's read length defines which reads are mappable; its
-/// reference is loaded from the mapper's genome on first use.  `sam` may
-/// be null to run the pipeline for its statistics only (the header is
-/// written by the caller so multiple streams can share one file; use
+/// With an engine, its read length defines which reads are mappable
+/// (others are skipped and counted) and its reference is loaded from the
+/// mapper's genome on first use.  A null engine runs no filter: every
+/// candidate is verified and reads of any length map.  Seeding runs on
+/// `config.pipeline.encode_workers` helper threads plus the source; the
+/// output does not depend on that count.  `sam` may be null to run the
+/// pipeline for its statistics only (the header is written by the caller
+/// so multiple streams can share one file; use
 /// WriteSamHeader(out, mapper.reference()) for the matching @SQ lines).
 ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
                                 GateKeeperGpuEngine* engine,

@@ -21,19 +21,19 @@ void Mask64(const U64* read, const U64* ref, int length, int shift,
             U64* mask) {
   const int enc64 = Words64(EncodedWords(length));
   const int mask64 = Words64(MaskWords(length));
-  // Scratch is fully overwritten by the shift/XOR below — zero-initializing
-  // it was measurable overhead in the per-pair profile.
-  U64 shifted[kMaxWords64];
+  // An empty sequence has no mask words.  Returning here also shows the
+  // compiler that the shift below writes `diff` before the XOR reads it
+  // (gcc 12 reports it maybe-uninitialized under the sanitizers without
+  // this); zero-initializing the scratch instead was measurably slower.
+  if (enc64 <= 0) return;
+  // The shift fully overwrites the scratch; the XOR runs in place.
   U64 diff[kMaxWords64];
-  const U64* lhs = read;
   if (shift > 0) {
-    ShiftToLater64(read, shifted, enc64, 2 * shift);
-    lhs = shifted;
+    ShiftToLater64(read, diff, enc64, 2 * shift);
   } else {
-    ShiftToEarlier64(read, shifted, enc64, -2 * shift);
-    lhs = shifted;
+    ShiftToEarlier64(read, diff, enc64, -2 * shift);
   }
-  XorWords64(lhs, ref, diff, enc64);
+  XorWords64(diff, ref, diff, enc64);
   ReducePairsOr64(diff, length, mask);
   AmendShortZeroRuns64(mask, mask64);
   if (shift > 0) {
@@ -163,9 +163,24 @@ void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
     }
     return;
   }
-  // Candidate shape: all lanes' reference windows come out of the encoded
-  // genome in one lane-parallel gather; the per-lane remainder is the
-  // bypass test and the strand reorientation.
+  // Candidate windows lie scattered over the genome, so each lane's
+  // reference and N-mask words are a cache miss.  Prefetch the group two
+  // ahead, so its loads are in flight while this group and the next one
+  // are filtered.
+  const std::size_t ahead = i0 + 2 * static_cast<std::size_t>(lanes);
+  for (std::size_t i = ahead;
+       i < ahead + static_cast<std::size_t>(lanes) && i < block.size; ++i) {
+    const std::int64_t first = block.candidates[i].ref_pos;
+    const std::int64_t last = first + block.length - 1;
+    if (first < 0 || last >= block.ref_len) continue;
+    __builtin_prefetch(block.ref_words + first / kBasesPerWord);
+    __builtin_prefetch(block.ref_words + last / kBasesPerWord);
+    __builtin_prefetch(block.ref_n_mask + first / kWordBits);
+    __builtin_prefetch(block.ref_n_mask + last / kWordBits);
+  }
+  // All lanes' reference windows come out of the encoded genome in one
+  // lane-parallel gather; the per-lane remainder is the bypass test and
+  // the strand reorientation.
   std::int64_t starts[kMaxGroupLanes] = {};
   for (int l = 0; l < lanes; ++l) {
     starts[l] = block.candidates[i0 + static_cast<std::size_t>(l)].ref_pos;

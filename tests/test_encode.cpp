@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "encode/dna.hpp"
 #include "encode/revcomp.hpp"
 #include "sim/genome.hpp"
@@ -198,21 +200,72 @@ TEST(RevCompTest, UnknownBasesMirrorAsN) {
   }
 }
 
+/// The per-base reverse complement the word-parallel implementation
+/// replaced, kept here as its differential reference: reads only the
+/// `length` real bases and leaves the output pad zero.
+void ReverseComplementEncodedPerBase(const Word* in, int length, Word* out) {
+  std::fill(out, out + EncodedWords(length), Word{0});
+  for (int i = 0; i < length; ++i) {
+    SetBase2Bit(out, i, ComplementCode(GetBase2Bit(in, length - 1 - i)));
+  }
+}
+
+/// Bits of the last encoded word that hold no base (0 when word-aligned).
+Word PadMask(int length) {
+  const int pad_bases = EncodedWords(length) * kBasesPerWord - length;
+  return pad_bases == 0 ? Word{0} : (Word{1} << (2 * pad_bases)) - 1;
+}
+
 TEST(RevCompTest, EncodedMatchesStringRevComp) {
   Rng rng(92);
-  for (const int length : {1, 15, 16, 17, 31, 100, 150, 300, 512}) {
+  for (int length = 0; length <= kMaxReadLength; ++length) {
     const std::string seq = RandomSeq(rng, static_cast<std::size_t>(length));
-    Word enc[kMaxEncodedWords];
-    Word rc_enc[kMaxEncodedWords];
-    Word expect_enc[kMaxEncodedWords];
+    const int nwords = EncodedWords(length);
+    Word enc[kMaxEncodedWords] = {};
+    Word rc_enc[kMaxEncodedWords] = {};
+    Word expect_enc[kMaxEncodedWords] = {};
     ASSERT_FALSE(EncodeSequence(seq, enc));
     ReverseComplementEncoded(enc, length, rc_enc);
     ASSERT_FALSE(EncodeSequence(ReverseComplement(seq), expect_enc));
-    for (int w = 0; w < EncodedWords(length); ++w) {
-      EXPECT_EQ(rc_enc[w], expect_enc[w]) << "length " << length
+    for (int w = 0; w < nwords; ++w) {
+      ASSERT_EQ(rc_enc[w], expect_enc[w]) << "length " << length
                                           << " word " << w;
     }
-    EXPECT_EQ(DecodeSequence(rc_enc, length), ReverseComplement(seq));
+    ASSERT_EQ(DecodeSequence(rc_enc, length), ReverseComplement(seq))
+        << "length " << length;
+  }
+}
+
+TEST(RevCompTest, EncodedMatchesPerBaseLoopOnGarbagePads) {
+  // Random words, pad bits included: the pad must be ignored on input and
+  // zero on output, for every length the kernels accept.
+  Rng rng(94);
+  for (int length = 0; length <= kMaxReadLength; ++length) {
+    const int nwords = EncodedWords(length);
+    for (int trial = 0; trial < 4; ++trial) {
+      Word in[kMaxEncodedWords];
+      for (Word& w : in) w = rng.NextU32();
+      Word got[kMaxEncodedWords];
+      Word want[kMaxEncodedWords];
+      ReverseComplementEncoded(in, length, got);
+      ReverseComplementEncodedPerBase(in, length, want);
+      for (int w = 0; w < nwords; ++w) {
+        ASSERT_EQ(got[w], want[w]) << "length " << length << " word " << w;
+      }
+      if (nwords > 0) {
+        ASSERT_EQ(got[nwords - 1] & PadMask(length), 0u)
+            << "length " << length;
+      }
+      // The involution holds on the real bases; the input's garbage pad
+      // comes back zeroed.
+      Word twice[kMaxEncodedWords];
+      ReverseComplementEncoded(got, length, twice);
+      for (int w = 0; w < nwords; ++w) {
+        const Word pad = w == nwords - 1 ? PadMask(length) : Word{0};
+        ASSERT_EQ(twice[w], in[w] & ~pad)
+            << "length " << length << " word " << w;
+      }
+    }
   }
 }
 

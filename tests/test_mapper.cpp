@@ -8,11 +8,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "encode/revcomp.hpp"
+#include "io/fastq.hpp"
+#include "io/reference.hpp"
 #include "mapper/sam.hpp"
+#include "pipeline/read_to_sam.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -198,6 +202,157 @@ TEST(MapperTest, BatchSizeDoesNotChangeResults) {
   }
   EXPECT_EQ(mapping_counts[0], mapping_counts[1]);
   EXPECT_EQ(mapping_counts[1], mapping_counts[2]);
+}
+
+// ------------------------------------------ streaming FASTQ-to-SAM --
+
+/// A three-chromosome reference and reads sampled from every chromosome,
+/// every other one reverse-complemented, named in input order.
+struct StreamFixture {
+  ReferenceSet ref;
+  std::vector<std::string> seqs;
+  std::vector<std::string> names;
+  MapperConfig config;
+
+  static StreamFixture Make(std::size_t reads_per_chrom) {
+    StreamFixture f;
+    f.ref.Add("chr1", GenerateGenome(60000, 71));
+    f.ref.Add("chr2", GenerateGenome(40000, 72));
+    f.ref.Add("chr3", GenerateGenome(30000, 73));
+    for (std::size_t c = 0; c < f.ref.chromosome_count(); ++c) {
+      const ChromosomeInfo& info = f.ref.chromosome(c);
+      const auto reads = SimulateReadSequences(
+          std::string_view(f.ref.text())
+              .substr(static_cast<std::size_t>(info.offset),
+                      static_cast<std::size_t>(info.length)),
+          reads_per_chrom, 100, ReadErrorProfile::Illumina(), 80 + c);
+      for (const std::string& r : reads) {
+        f.names.push_back("q" + std::to_string(f.seqs.size()));
+        f.seqs.push_back(f.seqs.size() % 2 == 1 ? ReverseComplement(r) : r);
+      }
+    }
+    f.config.k = 12;
+    f.config.read_length = 100;
+    f.config.error_threshold = 4;
+    return f;
+  }
+
+  std::string Fastq() const {
+    std::vector<FastqRecord> records;
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      records.push_back({names[i], seqs[i], ""});
+    }
+    std::ostringstream out;
+    WriteFastq(out, records);
+    return out.str();
+  }
+};
+
+/// A GateKeeper engine for the fixture's read length and threshold.
+struct StreamEngine {
+  std::vector<std::unique_ptr<gpusim::Device>> devices =
+      gpusim::MakeSetup1(2, 2);
+  std::unique_ptr<GateKeeperGpuEngine> engine;
+
+  explicit StreamEngine(const MapperConfig& config) {
+    EngineConfig ecfg;
+    ecfg.read_length = config.read_length;
+    ecfg.error_threshold = config.error_threshold;
+    engine = std::make_unique<GateKeeperGpuEngine>(
+        ecfg, std::vector<gpusim::Device*>{devices[0].get(),
+                                           devices[1].get()});
+  }
+};
+
+/// StreamFastqToSam's SAM (header included) with `encode_workers` seeding
+/// helpers and the given batch size; `engine` null runs no filter.
+std::string StreamSam(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
+                      const std::string& fastq_text, int encode_workers,
+                      std::size_t batch,
+                      pipeline::ReadToSamStats* stats = nullptr) {
+  pipeline::ReadToSamConfig scfg;
+  scfg.pipeline.batch_size = batch;
+  scfg.pipeline.encode_workers = encode_workers;
+  std::istringstream fastq(fastq_text);
+  std::ostringstream sam;
+  WriteSamHeader(sam, mapper.reference());
+  const pipeline::ReadToSamStats s =
+      pipeline::StreamFastqToSam(fastq, mapper, engine, scfg, &sam);
+  if (stats != nullptr) *stats = s;
+  return sam.str();
+}
+
+TEST(MapperTest, StreamFastqToSamIsIdenticalAcrossHelpersAndBatchSizes) {
+  // More reads than one seeding chunk, so chunk boundaries fall inside
+  // batches and batch boundaries inside chunks.
+  const StreamFixture f = StreamFixture::Make(200);
+  ReadMapper mapper(f.ref, f.config);
+  std::vector<MappingRecord> records;
+  mapper.MapReads(f.seqs, nullptr, {}, &records);
+  std::ostringstream expected;
+  WriteSamHeader(expected, mapper.reference());
+  WriteSamRecordsMultiChrom(expected, f.seqs, f.names, records,
+                            mapper.reference());
+  const std::string want = expected.str();
+  for (const char* needle : {"\t16\tchr", "\tchr1\t", "\tchr2\t",
+                             "\tchr3\t"}) {
+    ASSERT_NE(want.find(needle), std::string::npos) << needle;
+  }
+
+  const std::string fastq = f.Fastq();
+  StreamEngine fx(f.config);
+  for (const bool filtered : {true, false}) {
+    for (const int workers : {1, 2, 4}) {
+      for (const std::size_t batch : {64u, 777u, 8192u}) {
+        pipeline::ReadToSamStats stats;
+        EXPECT_EQ(StreamSam(mapper, filtered ? fx.engine.get() : nullptr,
+                            fastq, workers, batch, &stats),
+                  want)
+            << (filtered ? "filtered" : "no filter") << ", " << workers
+            << " helpers, batch " << batch;
+        EXPECT_EQ(stats.reads, f.seqs.size());
+        EXPECT_EQ(stats.skipped_reads, 0u);
+      }
+    }
+  }
+}
+
+TEST(MapperTest, StreamFastqToSamSkipsOffLengthReadsOnlyWithAFilter) {
+  // The filter's lanes are one read length wide: with it, reads of any
+  // other length are skipped and counted (not an error); without it
+  // every read maps.
+  const StreamFixture f = StreamFixture::Make(40);
+  std::string fastq = f.Fastq();
+  const std::string base = fastq;
+  const std::string genome(f.ref.text());
+  const std::vector<std::int64_t> short_origins{1000, 65000, 105000};
+  for (std::size_t i = 0; i < short_origins.size(); ++i) {
+    const std::string seq = genome.substr(
+        static_cast<std::size_t>(short_origins[i]), 90);
+    ASSERT_EQ(seq.find('N'), std::string::npos);
+    fastq += "@short" + std::to_string(i) + "\n" + seq + "\n+\n" +
+             std::string(seq.size(), 'I') + "\n";
+  }
+
+  ReadMapper mapper(f.ref, f.config);
+  StreamEngine fx(f.config);
+  pipeline::ReadToSamStats filtered;
+  const std::string filtered_sam =
+      StreamSam(mapper, fx.engine.get(), fastq, 2, 256, &filtered);
+  EXPECT_EQ(filtered.reads, f.seqs.size() + short_origins.size());
+  EXPECT_EQ(filtered.skipped_reads, short_origins.size());
+  EXPECT_EQ(filtered_sam, StreamSam(mapper, fx.engine.get(), base, 2, 256));
+
+  pipeline::ReadToSamStats unfiltered;
+  const std::string unfiltered_sam =
+      StreamSam(mapper, nullptr, fastq, 2, 256, &unfiltered);
+  EXPECT_EQ(unfiltered.skipped_reads, 0u);
+  EXPECT_EQ(unfiltered.mapped_reads, filtered.mapped_reads + 3);
+  for (std::size_t i = 0; i < short_origins.size(); ++i) {
+    EXPECT_NE(unfiltered_sam.find("short" + std::to_string(i) + "\t"),
+              std::string::npos)
+        << i;
+  }
 }
 
 TEST(MapperTest, ReadLengthIsFixedOnlyWithAFilter) {

@@ -1,9 +1,10 @@
 // Golden-file SAM regression: a small multi-chromosome reference and a
-// fixed-seed read set are mapped by MapReads with the GateKeeper engine,
-// by MapReads without a filter, and by the FASTQ-to-SAM pipeline, and each
-// output is compared byte-for-byte against the committed expectation in
-// tests/data/multi_chrom_golden.sam — covering the per-chromosome @SQ
-// header lines, flags, positions, CIGARs and NM tags.
+// fixed-seed read set are mapped by MapReads and by the FASTQ-to-SAM
+// pipeline (`gkgpu map`'s driver), each with the GateKeeper engine and
+// without a filter, and each output is compared byte-for-byte against the
+// committed expectation in tests/data/multi_chrom_golden.sam — covering
+// the per-chromosome @SQ header lines, flags, positions, CIGARs and NM
+// tags.
 //
 // Regenerating after an intentional output change:
 //   GKGPU_UPDATE_GOLDEN=1 ./build/test_sam_golden
@@ -116,7 +117,9 @@ std::string MapperSam(const ReadSet& rs, bool filtered) {
   return sam.str();
 }
 
-std::string StreamingFastqSam(const ReadSet& rs) {
+/// The FASTQ-to-SAM pipeline with the GateKeeper engine (`filtered`) or
+/// without a filter.
+std::string StreamingFastqSam(const ReadSet& rs, bool filtered) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   EngineFixture fx;
   std::vector<FastqRecord> fq;
@@ -134,7 +137,9 @@ std::string StreamingFastqSam(const ReadSet& rs) {
   scfg.pipeline.adaptive = true;
   scfg.pipeline.adaptive_config.min_size = 64;
   scfg.pipeline.adaptive_config.max_size = 512;
-  pipeline::StreamFastqToSam(fastq, mapper, fx.engine.get(), scfg, &sam);
+  pipeline::StreamFastqToSam(fastq, mapper,
+                             filtered ? fx.engine.get() : nullptr, scfg,
+                             &sam);
   return sam.str();
 }
 
@@ -171,8 +176,11 @@ TEST(SamGoldenTest, FilteredUnfilteredAndPipelineMatchGoldenByteForByte) {
   EXPECT_EQ(filtered, golden) << "filtered MapReads SAM drifted";
   EXPECT_EQ(MapperSam(rs, /*filtered=*/false), golden)
       << "MapReads without a filter differs from the golden output";
-  EXPECT_EQ(StreamingFastqSam(rs), golden)
+  EXPECT_EQ(StreamingFastqSam(rs, /*filtered=*/true), golden)
       << "FASTQ-to-SAM pipeline output differs from the golden output";
+  EXPECT_EQ(StreamingFastqSam(rs, /*filtered=*/false), golden)
+      << "FASTQ-to-SAM pipeline without a filter differs from the golden "
+         "output";
 }
 
 TEST(SamGoldenTest, GoldenContainsMappingsOnEveryChromosome) {

@@ -650,6 +650,22 @@ int FilterCmd(const Args& args) {
   return 0;
 }
 
+/// Length of the first read of a FASTQ file; -1 when it holds none.
+int FirstReadLength(const std::string& path) {
+  std::ifstream in(path);
+  FastqStreamReader reader(in);
+  FastqRecord first;
+  return reader.Next(&first) ? static_cast<int>(first.seq.size()) : -1;
+}
+
+/// Busy seconds of the named pipeline stage (0 when it did not run).
+double StageBusy(const pipeline::PipelineStats& stats, const char* name) {
+  for (const pipeline::StageStats& st : stats.stages) {
+    if (st.name == name) return st.busy_seconds;
+  }
+  return 0.0;
+}
+
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
@@ -681,14 +697,12 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
   }
   int length = static_cast<int>(args.GetInt("length", 0));
   if (length <= 0) {
-    std::ifstream peek(interleaved.empty() ? paired_files[0] : interleaved);
-    FastqStreamReader peek_reader(peek);
-    FastqRecord first;
-    if (!peek_reader.Next(&first)) {
+    length =
+        FirstReadLength(interleaved.empty() ? paired_files[0] : interleaved);
+    if (length < 0) {
       std::fprintf(stderr, "no reads in the paired input\n");
       return 1;
     }
-    length = static_cast<int>(first.seq.size());
   }
 
   MapperConfig mcfg;
@@ -784,19 +798,18 @@ int MapCmd(const Args& args) {
   }
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
-  const auto fastq = ReadFastqFile(reads_path);
-  if (fastq.empty()) {
+  std::ifstream fastq(reads_path);
+  if (!fastq) {
+    std::fprintf(stderr, "cannot open %s\n", reads_path.c_str());
+    return 1;
+  }
+  // The first record's length is the filter's lane width; with a filter,
+  // reads of any other length are skipped and counted.
+  const int length = FirstReadLength(reads_path);
+  if (length < 0) {
     std::fprintf(stderr, "empty read set\n");
     return 1;
   }
-  std::vector<std::string> reads;
-  std::vector<std::string> names;
-  reads.reserve(fastq.size());
-  for (const auto& r : fastq) {
-    reads.push_back(r.seq);
-    names.push_back(r.name);
-  }
-  const int length = static_cast<int>(reads.front().size());
   const int e = static_cast<int>(args.GetInt("e", 5));
 
   MapperConfig mcfg;
@@ -819,15 +832,30 @@ int MapCmd(const Args& args) {
     input.LoadEngine(engine.get(), mapper);
   }
 
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
-  ApplyThreads(args, &pcfg);
-  std::vector<MappingRecord> records;
-  const MappingStats stats =
-      mapper.MapReads(reads, engine.get(), pcfg, &records);
+  pipeline::ReadToSamConfig scfg;
+  scfg.pipeline.batch_size =
+      static_cast<std::size_t>(args.GetInt("batch", 8192));
+  ApplyThreads(args, &scfg.pipeline);
+  scfg.read_group = args.Get("read-group", "");
+  scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
+  scfg.secondary = args.Has("report-secondary")
+                       ? SecondaryPolicy::kReportSecondary
+                       : SecondaryPolicy::kBestOnly;
+  const std::string sam_path = args.Get("sam", "");
+  std::ofstream sam_file;
+  std::ostream* sam = nullptr;
+  if (!sam_path.empty()) {
+    sam_file.open(sam_path);
+    WriteSamHeader(sam_file, mapper.reference(), scfg.read_group);
+    sam = &sam_file;
+  }
+  const pipeline::ReadToSamStats stats =
+      pipeline::StreamFastqToSam(fastq, mapper, engine.get(), scfg, sam);
+  const pipeline::PipelineStats& ps = stats.pipeline;
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
+  t.AddRow({"skipped reads", TablePrinter::Count(stats.skipped_reads)});
   t.AddRow({"seeder", SeedModeName(mapper.config().seed_mode)});
   if (mapper.index().shard_count() > 1) {
     t.AddRow({"index shards",
@@ -835,32 +863,29 @@ int MapCmd(const Args& args) {
   }
   t.AddRow({"mappings", TablePrinter::Count(stats.mappings)});
   t.AddRow({"mapped reads", TablePrinter::Count(stats.mapped_reads)});
-  t.AddRow({"candidates", TablePrinter::Count(stats.candidates_total)});
-  t.AddRow({"verification pairs",
-            TablePrinter::Count(stats.verification_pairs)});
-  t.AddRow({"rejected pairs", TablePrinter::Count(stats.rejected_pairs)});
-  t.AddRow({"reduction", TablePrinter::Percent(stats.ReductionPercent(), 1)});
-  t.AddRow({"seeding (s)", TablePrinter::Num(stats.seeding_seconds, 3)});
-  t.AddRow({"filtering (s)", TablePrinter::Num(stats.filter_seconds, 3)});
-  t.AddRow({"verification (s)",
-            TablePrinter::Num(stats.verification_seconds, 3)});
-  t.AddRow({"total (s)", TablePrinter::Num(stats.total_seconds, 3)});
+  t.AddRow({"candidates", TablePrinter::Count(stats.candidates)});
+  t.AddRow({"verification pairs", TablePrinter::Count(ps.verified_pairs)});
+  t.AddRow({"rejected pairs", TablePrinter::Count(ps.rejected)});
+  t.AddRow({"reduction",
+            TablePrinter::Percent(
+                stats.candidates == 0
+                    ? 0.0
+                    : 100.0 * static_cast<double>(ps.rejected) /
+                          static_cast<double>(stats.candidates),
+                1)});
+  t.AddRow({"seeding (s)", TablePrinter::Num(stats.seed_seconds, 3)});
+  // Measured host busy time of the filter stage (its threads' wall while
+  // filtering), not the modeled device time.
+  t.AddRow({"filtering (s)", TablePrinter::Num(StageBusy(ps, "filter"), 3)});
+  t.AddRow({"verification (s)", TablePrinter::Num(ps.verify_seconds, 3)});
+  t.AddRow({"total (s)", TablePrinter::Num(ps.wall_seconds, 3)});
   t.Print(std::cout);
 
-  const std::string sam_path = args.Get("sam", "");
-  if (!sam_path.empty()) {
-    const std::string read_group = args.Get("read-group", "");
-    const SecondaryPolicy policy = args.Has("report-secondary")
-                                       ? SecondaryPolicy::kReportSecondary
-                                       : SecondaryPolicy::kBestOnly;
-    std::ofstream sam(sam_path);
-    WriteSamHeader(sam, mapper.reference(), read_group);
-    WriteSamRecordsMultiChrom(
-        sam, reads, names, records, mapper.reference(), read_group,
-        static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap)), policy);
-    std::printf("SAM written to %s (%zu verified mappings%s)\n",
-                sam_path.c_str(), records.size(),
-                policy == SecondaryPolicy::kBestOnly
+  if (sam != nullptr) {
+    std::printf("SAM written to %s (%llu verified mappings%s)\n",
+                sam_path.c_str(),
+                static_cast<unsigned long long>(stats.mappings),
+                scfg.secondary == SecondaryPolicy::kBestOnly
                     ? ", primary records only"
                     : ", secondaries flagged 0x100");
   }
@@ -1004,14 +1029,11 @@ int PipelineCmd(const Args& args) {
   // overrides (reads of any other length are skipped by the stream).
   int length = static_cast<int>(args.GetInt("length", 0));
   if (length <= 0) {
-    std::ifstream peek(reads_path);
-    FastqStreamReader peek_reader(peek);
-    FastqRecord first;
-    if (!peek_reader.Next(&first)) {
+    length = FirstReadLength(reads_path);
+    if (length < 0) {
       std::fprintf(stderr, "no reads in %s\n", reads_path.c_str());
       return 1;
     }
-    length = static_cast<int>(first.seq.size());
   }
   MapperConfig mcfg;
   mcfg.k = 12;
