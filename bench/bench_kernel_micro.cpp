@@ -1,11 +1,15 @@
 // Google-benchmark microbenchmarks of the filtration core itself: per-pair
 // latency of GateKeeperFiltration across read lengths and error thresholds,
 // the amendment/count primitives, the encoded reverse complement, the
-// baselines, and the exact aligners — the numbers behind the throughput
-// tables.
+// baselines, the exact aligners and the fused verification kernel — the
+// numbers behind the throughput tables.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "align/banded.hpp"
+#include "align/banded_bv.hpp"
 #include "align/cigar.hpp"
 #include "align/local.hpp"
 #include "align/myers.hpp"
@@ -175,6 +179,39 @@ void BM_ExactAligners(benchmark::State& state) {
   state.SetLabel(kLabels[which]);
 }
 BENCHMARK(BM_ExactAligners)->DenseRange(0, 5);
+
+// The fused verification kernel at the active tier, one eight-lane call
+// per iteration; items are pairs, so items_per_second compares with the
+// per-pair BandedVerifier-k5 (refuted) and BandedVerifier-k5 +
+// BandedAlign-k5 (confirmed) rows above.
+void BM_FusedVerify(benchmark::State& state) {
+  const bool confirmed = state.range(0) != 0;
+  std::vector<std::string> reads;
+  std::vector<std::string> windows;
+  for (int l = 0; l < BandedBvVerifier::kLanes; ++l) {
+    // Confirmed: 4 edits; refuted: 7 edits against e = 5.
+    const SequencePair p =
+        MakePairWithEdits(100, confirmed ? 4 : 7, 0.3, 31 + l);
+    reads.push_back(p.read);
+    windows.push_back(p.ref);
+  }
+  BandedBvVerifier bv;
+  std::vector<std::string> cigars(BandedBvVerifier::kLanes);
+  BvLane lanes[BandedBvVerifier::kLanes];
+  for (auto _ : state) {
+    for (int l = 0; l < BandedBvVerifier::kLanes; ++l) {
+      lanes[l] = {reads[l], windows[l], confirmed ? &cigars[l] : nullptr};
+    }
+    bv.Verify(lanes, BandedBvVerifier::kLanes, 5);
+    benchmark::DoNotOptimize(lanes);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * BandedBvVerifier::kLanes);
+  const std::string what =
+      confirmed ? "BandedBv-k5-confirmed-cigar-x8-" : "BandedBv-k5-refuted-x8-";
+  state.SetLabel(what + (bv.vectorized() ? "avx512" : "scalar"));
+}
+BENCHMARK(BM_FusedVerify)->DenseRange(0, 1);
 
 }  // namespace
 }  // namespace gkgpu

@@ -46,86 +46,77 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
   }
 }
 
-void ReadMapper::CollectDense(std::string_view read,
-                              std::vector<std::int64_t>* candidates) const {
-  const int L = static_cast<int>(read.size());
-  const int k = config_.k;
+void ReadMapper::AppendSeeds(std::string_view read,
+                             std::vector<SeedHit>* seeds,
+                             std::vector<MinimizerHit>* minimizers) const {
+  if (config_.seed_mode == SeedMode::kMinimizer) {
+    // Anchoring the read so its minimizer coincides with the reference's:
+    // both sides select the same k-mer of any shared error-free window of
+    // w+k-1 bases (selection is a pure function of window content).
+    minimizers->clear();
+    CollectMinimizers(read, index_.k(), index_.minimizer_w(), minimizers);
+    for (const MinimizerHit& m : *minimizers) {
+      seeds->push_back({static_cast<std::int64_t>(m.code),
+                        static_cast<std::int32_t>(m.pos)});
+    }
+    return;
+  }
   // Pigeonhole seeding: e+1 non-overlapping k-mers guarantee that a read
   // within the threshold shares at least one exact seed with its locus.
-  const int max_seeds = L / k;
-  const int n_seeds = std::min(config_.error_threshold + 1, max_seeds);
-  const std::int64_t genome_len = ref_.length();
-  const std::size_t shards = index_.shard_count();
+  const int k = config_.k;
+  const int n_seeds =
+      std::min(config_.error_threshold + 1, static_cast<int>(read.size()) / k);
   for (int s = 0; s < n_seeds; ++s) {
     const int offset = s * k;
     const std::int64_t code = index_.shard(0).Encode(
         read.substr(static_cast<std::size_t>(offset),
                     static_cast<std::size_t>(k)));
-    if (code < 0) continue;
+    if (code >= 0) seeds->push_back({code, offset});
+  }
+}
+
+void ReadMapper::CollectFromSeeds(const SeedHit* begin, const SeedHit* end,
+                                  int length,
+                                  std::vector<std::int64_t>* candidates)
+    const {
+  candidates->clear();
+  const std::int64_t genome_len = ref_.length();
+  const std::size_t shards = index_.shard_count();
+  for (const SeedHit* seed = begin; seed != end; ++seed) {
     for (std::size_t sh = 0; sh < shards; ++sh) {
       const std::int64_t shard_base = index_.plan().shard(sh).text_offset;
-      for (const std::uint32_t pos : index_.shard(sh).LookupCode(code)) {
+      for (const std::uint32_t pos : index_.shard(sh).LookupCode(seed->code)) {
         // Shard-local hit -> global candidate window.  Because shards tile
         // chromosome groups, every window that survives the junction check
         // below lies inside one shard; the merged set across shards is
         // exactly what one monolithic index would seed.
         const std::int64_t start =
-            shard_base + static_cast<std::int64_t>(pos) - offset;
-        if (start < 0 || start + L > genome_len) continue;
+            shard_base + static_cast<std::int64_t>(pos) - seed->offset;
+        if (start < 0 || start + length > genome_len) continue;
         // A window reaching across a chromosome junction would align the
         // read against a chimeric segment; drop it at seeding time.
         if (ref_.chromosome_count() > 1 &&
-            !ref_.WindowWithinChromosome(start, L)) {
+            !ref_.WindowWithinChromosome(start, length)) {
           continue;
         }
         candidates->push_back(start);
       }
     }
   }
-}
-
-void ReadMapper::CollectMinimizerSeeds(
-    std::string_view read, std::vector<std::int64_t>* candidates) const {
-  const int L = static_cast<int>(read.size());
-  const std::int64_t genome_len = ref_.length();
-  const std::size_t shards = index_.shard_count();
-  thread_local std::vector<MinimizerHit> hits;
-  hits.clear();
-  CollectMinimizers(read, index_.k(), index_.minimizer_w(), &hits);
-  for (const MinimizerHit& m : hits) {
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const std::int64_t shard_base = index_.plan().shard(sh).text_offset;
-      for (const std::uint32_t pos :
-           index_.shard(sh).LookupCode(static_cast<std::int64_t>(m.code))) {
-        // Anchor the read so its minimizer coincides with the reference's:
-        // both sides select the same k-mer of any shared error-free window
-        // of w+k-1 bases (selection is a pure function of window content).
-        const std::int64_t start = shard_base +
-                                   static_cast<std::int64_t>(pos) -
-                                   static_cast<std::int64_t>(m.pos);
-        if (start < 0 || start + L > genome_len) continue;
-        if (ref_.chromosome_count() > 1 &&
-            !ref_.WindowWithinChromosome(start, L)) {
-          continue;
-        }
-        candidates->push_back(start);
-      }
-    }
-  }
+  std::sort(candidates->begin(), candidates->end());
+  candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                    candidates->end());
 }
 
 void ReadMapper::CollectCandidates(std::string_view read,
                                    std::vector<std::int64_t>* candidates)
     const {
-  candidates->clear();
-  if (config_.seed_mode == SeedMode::kMinimizer) {
-    CollectMinimizerSeeds(read, candidates);
-  } else {
-    CollectDense(read, candidates);
-  }
-  std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
+  thread_local std::vector<SeedHit> seeds;
+  thread_local std::vector<MinimizerHit> minimizers;
+  seeds.clear();
+  AppendSeeds(read, &seeds, &minimizers);
+  CollectFromSeeds(seeds.data(), seeds.data() + seeds.size(),
+                   static_cast<int>(read.size()), candidates);
 }
 
 void ReadMapper::CollectCandidatesOriented(
@@ -141,6 +132,61 @@ void ReadMapper::CollectCandidatesOriented(
   ReverseComplementInto(read, rc);
   CollectCandidates(*rc, scratch);
   for (const std::int64_t pos : *scratch) candidates->push_back({pos, 1});
+}
+
+void ReadMapper::CollectCandidatesGroup(std::span<const SeedTask> tasks,
+                                        SeedGroupScratch* scratch) const {
+  // Reads per prefetch slice: their ~200 seed lookups' lines stay well
+  // inside L1 between the prefetch and the collect passes.
+  constexpr std::size_t kSlice = 16;
+  const std::size_t shards = index_.shard_count();
+  if (scratch->rc.size() < kSlice) scratch->rc.resize(kSlice);
+  for (std::size_t first = 0; first < tasks.size(); first += kSlice) {
+    const std::size_t n = std::min(kSlice, tasks.size() - first);
+    // Pass 1: hash every seed of both strands; prefetch its offsets.
+    scratch->seeds.clear();
+    scratch->seed_begin.clear();
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::string_view read = tasks[first + t].read;
+      ReverseComplementInto(read, &scratch->rc[t]);
+      scratch->seed_begin.push_back(scratch->seeds.size());
+      AppendSeeds(read, &scratch->seeds, &scratch->minimizers);
+      scratch->seed_begin.push_back(scratch->seeds.size());
+      AppendSeeds(scratch->rc[t], &scratch->seeds, &scratch->minimizers);
+    }
+    scratch->seed_begin.push_back(scratch->seeds.size());
+    for (std::size_t sh = 0; sh < shards; ++sh) {
+      const std::span<const std::uint32_t> offsets = index_.shard(sh).offsets();
+      for (const SeedHit& seed : scratch->seeds) {
+        if (static_cast<std::size_t>(seed.code) + 1 < offsets.size()) {
+          __builtin_prefetch(offsets.data() + seed.code);
+        }
+      }
+    }
+    // Pass 2: the offsets are in flight or cached; prefetch each run.
+    for (std::size_t sh = 0; sh < shards; ++sh) {
+      const KmerIndex& shard = index_.shard(sh);
+      for (const SeedHit& seed : scratch->seeds) {
+        const std::span<const std::uint32_t> run = shard.LookupCode(seed.code);
+        if (!run.empty()) __builtin_prefetch(run.data());
+      }
+    }
+    // Pass 3: collect, exactly as CollectCandidatesOriented does.
+    for (std::size_t t = 0; t < n; ++t) {
+      std::vector<OrientedCandidate>* out = tasks[first + t].candidates;
+      const int length = static_cast<int>(tasks[first + t].read.size());
+      out->clear();
+      for (std::uint8_t strand = 0; strand < 2; ++strand) {
+        const std::size_t b = scratch->seed_begin[2 * t + strand];
+        const std::size_t e = scratch->seed_begin[2 * t + strand + 1];
+        CollectFromSeeds(scratch->seeds.data() + b, scratch->seeds.data() + e,
+                         length, &scratch->positions);
+        for (const std::int64_t pos : scratch->positions) {
+          out->push_back({pos, strand});
+        }
+      }
+    }
+  }
 }
 
 void ReadMapper::PublishSeedObservability(const MappingStats& stats) const {

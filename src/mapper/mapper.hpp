@@ -18,11 +18,14 @@
 #define GKGPU_MAPPER_MAPPER_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "io/reference.hpp"
+#include "mapper/minimizer.hpp"
 #include "mapper/seed_index.hpp"
 #include "pipeline/candidate_packer.hpp"
 #include "pipeline/pipeline.hpp"
@@ -44,6 +47,29 @@ struct MapperConfig {
   /// Shard byte budget for the index (see SeedConfig::shard_max_bp);
   /// 0 = one shard per 4 Gbp.
   std::int64_t shard_max_bp = 0;
+};
+
+/// One seed k-mer of a read: its 2-bit code and its offset in the read.
+struct SeedHit {
+  std::int64_t code = 0;
+  std::int32_t offset = 0;
+};
+
+/// One read of a ReadMapper::CollectCandidatesGroup call and where its
+/// oriented candidates go.
+struct SeedTask {
+  std::string_view read;
+  std::vector<OrientedCandidate>* candidates = nullptr;
+};
+
+/// Reusable buffers of ReadMapper::CollectCandidatesGroup, one per
+/// seeding thread.
+struct SeedGroupScratch {
+  std::vector<std::string> rc;          // reverse complement per read
+  std::vector<SeedHit> seeds;           // every seed of the group
+  std::vector<std::size_t> seed_begin;  // per (read, strand), then the end
+  std::vector<std::int64_t> positions;
+  std::vector<MinimizerHit> minimizers;
 };
 
 struct MappingRecord {
@@ -137,6 +163,17 @@ class ReadMapper {
                                  std::vector<OrientedCandidate>* candidates)
       const;
 
+  /// CollectCandidatesOriented for a group of reads: each task's
+  /// candidates are exactly what CollectCandidatesOriented would give, in
+  /// the same order.  The index lookups run in three passes over slices
+  /// of the group — hash every seed k-mer of both strands, prefetch their
+  /// offset-table entries, then prefetch their position runs — before any
+  /// candidate is collected, so the cache misses of a slice overlap
+  /// instead of serializing (the k=12 offset table is 64 MiB whatever the
+  /// genome).
+  void CollectCandidatesGroup(std::span<const SeedTask> tasks,
+                              SeedGroupScratch* scratch) const;
+
   /// Adds a run's seeding and mapping counts to the process registry:
   /// candidates seeded (in total, per seeder and, on a sharded index, per
   /// shard) and reads mapped / unmapped.  Reads `reads`, `mapped_reads`,
@@ -144,10 +181,14 @@ class ReadMapper {
   void PublishSeedObservability(const MappingStats& stats) const;
 
  private:
-  void CollectDense(std::string_view read,
-                    std::vector<std::int64_t>* candidates) const;
-  void CollectMinimizerSeeds(std::string_view read,
-                             std::vector<std::int64_t>* candidates) const;
+  /// Appends the seeds of `read` under the index's seeding strategy:
+  /// pigeonhole k-mers (dense) or (w,k) minimizers.
+  void AppendSeeds(std::string_view read, std::vector<SeedHit>* seeds,
+                   std::vector<MinimizerHit>* minimizers) const;
+  /// The candidate windows of a length-`length` read with seeds
+  /// [begin, end): sorted, deduplicated, in-genome and junction-free.
+  void CollectFromSeeds(const SeedHit* begin, const SeedHit* end, int length,
+                        std::vector<std::int64_t>* candidates) const;
 
   ReferenceSet ref_;
   MapperConfig config_;

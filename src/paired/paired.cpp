@@ -877,34 +877,29 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
   };
 
   const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
+    std::unique_lock<std::mutex> lk(mu);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      Pending* p;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        p = &pending[static_cast<std::size_t>(batch.read_index[i] -
-                                              base_index)];
-      }
+      Pending& p =
+          pending[static_cast<std::size_t>(batch.read_index[i] - base_index)];
       // The mate column routes each verdict to its lists; within a mate,
       // candidates arrive in packing (= seeding) order.
       const bool first = batch.mate[i] == 0;
-      const std::size_t slot = first ? p->received1++ : p->received2++;
-      (first ? p->e1 : p->e2)[slot] = batch.edits[i];
+      const std::size_t slot = first ? p.received1++ : p.received2++;
+      (first ? p.e1 : p.e2)[slot] = batch.edits[i];
       if (!batch.cigars.empty()) {
-        (first ? p->cigar1 : p->cigar2)[slot] = std::move(batch.cigars[i]);
+        (first ? p.cigar1 : p.cigar2)[slot] = std::move(batch.cigars[i]);
       }
     }
     // Finalize every leading pair whose candidates all arrived, strictly
-    // in input order.
-    for (;;) {
-      Pending done;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (pending.empty() || !pending.front().complete()) break;
-        done = std::move(pending.front());
-        pending.pop_front();
-        ++base_index;
-      }
+    // in input order, in place: the front entry's reference stays valid
+    // while the source appends, and only this thread pops.
+    while (!pending.empty() && pending.front().complete()) {
+      Pending& done = pending.front();
+      lk.unlock();
       fin.Finalize(done);
+      lk.lock();
+      pending.pop_front();
+      ++base_index;
     }
   };
 
@@ -925,8 +920,9 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
   stats.verification_pairs = ps.verified_pairs;
   stats.rejected_pairs = ps.rejected;
   stats.bypassed_pairs = ps.bypassed;
-  stats.filter_seconds = ps.filter_seconds;
-  stats.kernel_seconds = ps.kernel_seconds;
+  for (const pipeline::StageStats& stage : ps.stages) {
+    if (stage.name == "filter") stats.filter_seconds = stage.busy_seconds;
+  }
   stats.verify_seconds = ps.verify_seconds;
   stats.insert_mean = fin.model.mean();
   stats.insert_sigma = fin.model.sigma();

@@ -117,8 +117,9 @@ struct PairedStats {
   std::uint64_t insert_observations = 0;
 
   double seeding_seconds = 0.0;
+  /// Measured busy seconds of the pipeline's filter stage (0 without a
+  /// filter).
   double filter_seconds = 0.0;
-  double kernel_seconds = 0.0;
   double verify_seconds = 0.0;
   double total_seconds = 0.0;
 

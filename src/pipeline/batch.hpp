@@ -41,14 +41,13 @@ struct PairBatch {
   std::vector<CandidatePair> candidates;
 
   // Read-to-SAM provenance (empty in plain pair-stream mode).  One entry
-  // per pair: which input read it came from, its name, the chromosome the
-  // candidate window lies on, and the chromosome-local position.  The
-  // candidate's strand bit lives inside CandidatePair and needs no extra
-  // column.
+  // per pair: which input read it came from.  The candidate's strand and
+  // global window offset live inside CandidatePair; sinks resolve the
+  // (chromosome, local position) of confirmed mappings only.
   std::vector<std::uint32_t> read_index;
+  // One name per read, not per pair: read_names[r] names the r-th run of
+  // equal read_index values (a read's pairs are contiguous in a batch).
   std::vector<std::string> read_names;
-  std::vector<std::int32_t> ref_chrom;
-  std::vector<std::int64_t> ref_pos;
   // Multiplicity plumbing for MAPQ: 1 on a read's final candidate, so the
   // SAM sink knows when a read's verified-placement count is complete and
   // can score its records (mapper/mapq.hpp) without waiting for the next

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "align/banded.hpp"
+#include "align/banded_bv.hpp"
 #include "align/cigar.hpp"
 #include "encode/revcomp.hpp"
 #include "obs/names.hpp"
@@ -28,6 +29,127 @@ namespace {
 struct EncodedMsg {
   PairBatch batch;
   int slot = 0;
+};
+
+/// One verify worker: eligible accepted pairs go through the fused kernel
+/// eight at a time; the rest (a read byte outside ACGT, a read over
+/// 128 bp, a threshold outside 1..31) take the per-pair aligners.
+class BatchVerifier {
+ public:
+  /// An empty `reference_text` verifies pair batches.
+  BatchVerifier(std::string_view reference_text, int k, bool emit_cigar)
+      : reference_text_(reference_text), k_(k), emit_cigar_(emit_cigar) {}
+
+  struct Counts {
+    std::uint64_t entered = 0;  // accepted pairs verified
+    std::uint64_t confirmed = 0;
+  };
+
+  /// Fills batch->edits (and batch->cigars when emitting CIGARs) for the
+  /// accepted pairs.
+  Counts Verify(PairBatch* batch) {
+    batch_ = batch;
+    counts_ = {};
+    acgt_known_ = false;
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+      if (!batch->results[i].accept) continue;
+      ++counts_.entered;
+      if (reference_text_.empty()) {
+        const std::string_view read = batch->reads[i];
+        Add(i, {}, read, batch->refs[i], BandedBvVerifier::AcgtOnly(read));
+        continue;
+      }
+      // Verification windows are views into the reference text — the
+      // host never materializes per-candidate segments.
+      const CandidatePair c = batch->candidates[i];
+      const std::string& read = batch->cand_reads[c.read_index];
+      if (!acgt_known_ || acgt_read_ != c.read_index) {
+        acgt_read_ = c.read_index;
+        acgt_ok_ = BandedBvVerifier::AcgtOnly(read);
+        acgt_known_ = true;
+      }
+      const std::string_view window = reference_text_.substr(
+          static_cast<std::size_t>(c.ref_pos), read.size());
+      Add(i, c, read, window, acgt_ok_);
+    }
+    Flush();
+    return counts_;
+  }
+
+ private:
+  /// Verifies pair i: candidate `c` (default in pair mode) with forward
+  /// read `read`.  Reverse-strand candidates verify the read's reverse
+  /// complement against the forward window.
+  void Add(std::size_t i, CandidatePair c, std::string_view read,
+           std::string_view window, bool acgt) {
+    std::string* cigar = emit_cigar_ ? &batch_->cigars[i] : nullptr;
+    if (!acgt || !BandedBvVerifier::Eligible(read.size(), window.size(), k_)) {
+      if (c.strand != 0) {
+        ReverseComplementInto(read, &rc_single_);
+        read = rc_single_;
+      }
+      const int d = verifier_.Distance(read, window, k_);
+      batch_->edits[i] = d;
+      if (d < 0) return;
+      ++counts_.confirmed;
+      if (cigar != nullptr) {
+        // Same computation as WriteSamAlignment (band = the confirmed
+        // distance), so sinks emit identical bytes.
+        const Alignment aln = BandedAlign(read, window, d);
+        *cigar = aln.distance >= 0 ? aln.cigar
+                                   : std::to_string(read.size()) + "M";
+      }
+      return;
+    }
+    if (used_ > 0 && lanes_[0].read.size() != read.size()) Flush();
+    const int l = used_;
+    if (c.strand != 0) {
+      // A lane whose read is the previous lane's reuses its complement,
+      // so a read's run of reverse candidates is complemented once per
+      // group; otherwise the lane complements into its own buffer.
+      const CandidatePair& prev = candidate_[l > 0 ? l - 1 : 0];
+      if (l > 0 && prev.read_index == c.read_index && prev.strand != 0) {
+        read = lanes_[l - 1].read;
+      } else {
+        ReverseComplementInto(read, &rc_lane_[l]);
+        read = rc_lane_[l];
+      }
+    }
+    lanes_[l] = {read, window, cigar};
+    index_[l] = i;
+    candidate_[l] = c;
+    if (++used_ == BandedBvVerifier::kLanes) Flush();
+  }
+
+  void Flush() {
+    if (used_ == 0) return;
+    fused_.Verify(lanes_, used_, k_);
+    for (int l = 0; l < used_; ++l) {
+      batch_->edits[index_[l]] = lanes_[l].distance;
+      if (lanes_[l].distance >= 0) ++counts_.confirmed;
+    }
+    used_ = 0;
+  }
+
+  const std::string_view reference_text_;
+  const int k_;
+  const bool emit_cigar_;
+  BandedBvVerifier fused_;
+  BandedVerifier verifier_;
+  PairBatch* batch_ = nullptr;
+  Counts counts_;
+  // The pending lane group: its lanes, pair indices and candidates.
+  BvLane lanes_[BandedBvVerifier::kLanes];
+  std::size_t index_[BandedBvVerifier::kLanes] = {};
+  CandidatePair candidate_[BandedBvVerifier::kLanes];
+  int used_ = 0;
+  std::string rc_lane_[BandedBvVerifier::kLanes];
+  std::string rc_single_;
+  // The last read-table entry checked for ACGT-only bytes; a read's
+  // candidates are contiguous in a batch.
+  std::uint32_t acgt_read_ = 0;
+  bool acgt_known_ = false;
+  bool acgt_ok_ = false;
 };
 
 }  // namespace
@@ -445,13 +567,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
       std::uint64_t batches = 0;
       std::uint64_t pairs_in = 0;
       std::uint64_t confirmed = 0;
-      BandedVerifier verifier;
-      // Reverse-strand candidates verify the read's reverse complement
-      // against the forward window; one cached buffer per worker amortizes
-      // the revcomp over a read's contiguous run of reverse candidates.
-      std::string rc_buf;
-      std::uint32_t rc_read = 0;
-      bool rc_valid = false;
+      BatchVerifier verifier(config_.reference_text, verify_k,
+                             config_.emit_cigar);
       try {
         for (;;) {
           WallTimer wait;
@@ -460,52 +577,13 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           if (!batch) break;
           const std::size_t n = batch->size();
           batch->edits.assign(n, -1);
-          rc_valid = false;
           if (config_.verify) {
             WallTimer t;
             obs::Span span("verify", "pipeline");
             if (config_.emit_cigar) batch->cigars.assign(n, {});
-            for (std::size_t i = 0; i < n; ++i) {
-              if (!batch->results[i].accept) continue;
-              ++pairs_in;
-              std::string_view read;
-              std::string_view window;
-              if (cand_mode) {
-                // Verification windows are views into the reference text —
-                // the host never materializes per-candidate segments.
-                const CandidatePair c = batch->candidates[i];
-                if (c.strand != 0) {
-                  if (!rc_valid || rc_read != c.read_index) {
-                    ReverseComplementInto(batch->cand_reads[c.read_index],
-                                          &rc_buf);
-                    rc_read = c.read_index;
-                    rc_valid = true;
-                  }
-                  read = rc_buf;
-                } else {
-                  read = batch->cand_reads[c.read_index];
-                }
-                window = config_.reference_text.substr(
-                    static_cast<std::size_t>(c.ref_pos), read.size());
-              } else {
-                read = batch->reads[i];
-                window = batch->refs[i];
-              }
-              batch->edits[i] = verifier.Distance(read, window, verify_k);
-              if (batch->edits[i] >= 0) {
-                ++confirmed;
-                if (config_.emit_cigar) {
-                  // Same computation as WriteSamAlignment (band = the
-                  // confirmed distance), so sinks emit identical bytes.
-                  const Alignment aln =
-                      BandedAlign(read, window, batch->edits[i]);
-                  batch->cigars[i] =
-                      aln.distance >= 0
-                          ? aln.cigar
-                          : std::to_string(read.size()) + "M";
-                }
-              }
-            }
+            const BatchVerifier::Counts counts = verifier.Verify(&*batch);
+            pairs_in += counts.entered;
+            confirmed += counts.confirmed;
             span.Close();
             const double service_s = t.Seconds();
             busy += service_s;

@@ -22,7 +22,8 @@ namespace {
 /// Reads the source parses and seeds per fan-out.  A constant, so batches
 /// do not depend on the helper count.
 constexpr std::size_t kSeedChunk = 512;
-/// Reads per ParallelFor claim within a chunk.
+/// Reads per ParallelFor claim within a chunk, seeded as one prefetched
+/// group.
 constexpr std::size_t kSeedGrain = 16;
 
 /// One read of the current chunk and its seeding result.
@@ -93,12 +94,13 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     seed_pool.ParallelFor(0, chunk_size, kSeedGrain, [&](std::size_t b,
                                                          std::size_t e) {
       try {
-        std::string rc_buf;
-        std::vector<std::int64_t> seed_scratch;
+        std::vector<SeedTask> tasks;
+        tasks.reserve(e - b);
         for (std::size_t i = b; i < e; ++i) {
-          mapper.CollectCandidatesOriented(chunk[i].rec.seq, &rc_buf,
-                                           &seed_scratch, &chunk[i].positions);
+          tasks.push_back({chunk[i].rec.seq, &chunk[i].positions});
         }
+        SeedGroupScratch scratch;
+        mapper.CollectCandidatesGroup(tasks, &scratch);
       } catch (...) {
         std::lock_guard<std::mutex> lk(error_mu);
         if (!error) error = std::current_exception();
@@ -138,13 +140,12 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
           current = &r;
           return &r.rec.seq;
         },
-        [&](const OrientedCandidate& oc, bool last) {
-          const int chrom = ref.Locate(oc.pos);
-          assert(chrom >= 0);  // seeding only emits in-chromosome windows
+        [&](const OrientedCandidate&, bool last) {
+          if (batch->read_index.empty() ||
+              batch->read_index.back() != read_counter - 1) {
+            batch->read_names.push_back(current->rec.name);
+          }
           batch->read_index.push_back(read_counter - 1);
-          batch->read_names.push_back(current->rec.name);
-          batch->ref_chrom.push_back(chrom);
-          batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
           batch->last_of_read.push_back(last ? 1 : 0);
         });
     return batch->size() > 0;
@@ -159,7 +160,9 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   std::uint32_t last_mapped = 0;
   bool any_mapped = false;
   const BatchSink sink = [&](PairBatch&& batch) {
+    std::size_t name = 0;  // read_names slot of pair i's read
     for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i > 0 && batch.read_index[i] != batch.read_index[i - 1]) ++name;
       if (batch.edits[i] >= 0) {
         ++out.mappings;
         if (!any_mapped || batch.read_index[i] != last_mapped) {
@@ -167,7 +170,14 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
           last_mapped = batch.read_index[i];
           any_mapped = true;
         }
-        if (sam != nullptr) groups.AddMapping(batch, i);
+        if (sam != nullptr) {
+          // Seeding only emits in-chromosome windows.
+          const std::int64_t pos = batch.candidates[i].ref_pos;
+          const int chrom = ref.Locate(pos);
+          assert(chrom >= 0);
+          groups.AddMapping(batch, i, batch.read_names[name], chrom,
+                            ref.ToLocal(chrom, pos));
+        }
       }
       if (sam != nullptr && batch.last_of_read[i] != 0) {
         groups.FlushGroup(*sam, ref);

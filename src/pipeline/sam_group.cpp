@@ -7,18 +7,16 @@
 
 namespace gkgpu::pipeline {
 
-void SamGroupBuffer::AddMapping(PairBatch& batch, std::size_t i) {
+void SamGroupBuffer::AddMapping(PairBatch& batch, std::size_t i,
+                                std::string_view name, std::int32_t chrom,
+                                std::int64_t pos) {
   const CandidatePair c = batch.candidates[i];
-  std::string_view seq = batch.cand_reads[c.read_index];
-  int flags = 0;
-  if (c.strand != 0) {
-    ReverseComplementInto(seq, &rc_scratch_);
-    seq = rc_scratch_;
-    flags = kSamReverse;
+  if (group_.empty()) {
+    name_.assign(name);
+    read_.assign(batch.cand_reads[c.read_index]);
   }
-  group_.push_back({batch.read_names[i], flags, std::string(seq),
-                    batch.ref_chrom[i], batch.ref_pos[i], batch.edits[i],
-                    std::move(batch.cigars[i])});
+  group_.push_back({c.strand != 0 ? kSamReverse : 0, chrom, pos,
+                    batch.edits[i], std::move(batch.cigars[i])});
 }
 
 std::size_t SamGroupBuffer::FlushGroup(std::ostream& out,
@@ -34,13 +32,19 @@ std::size_t SamGroupBuffer::FlushGroup(std::ostream& out,
   const int primary_mapq =
       ComputeMapq(s.best, s.second, s.best_count, options_.mapq_cap);
   std::size_t written = 0;
+  bool rc_ready = false;
   for (std::size_t g = 0; g < group_.size(); ++g) {
     if (g != primary && options_.secondary == SecondaryPolicy::kBestOnly) {
       continue;
     }
     const GroupRecord& r = group_[g];
+    const bool reverse = (r.flags & kSamReverse) != 0;
+    if (reverse && !rc_ready) {
+      ReverseComplementInto(read_, &rc_scratch_);
+      rc_ready = true;
+    }
     const int flags = r.flags | (g == primary ? 0 : kSamSecondary);
-    WriteSamLine(out, r.name, flags, r.seq,
+    WriteSamLine(out, name_, flags, reverse ? rc_scratch_ : read_,
                  ref.chromosome(static_cast<std::size_t>(r.chrom)).name,
                  r.pos, r.edits, g == primary ? primary_mapq : 0, r.cigar,
                  options_.read_group);

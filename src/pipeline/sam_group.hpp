@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/reference.hpp"
@@ -35,11 +36,14 @@ class SamGroupBuffer {
   explicit SamGroupBuffer(SamGroupOptions options)
       : options_(std::move(options)) {}
 
-  /// Buffers batch entry `i` (must be a verified mapping: edits[i] >= 0).
-  /// Reverse-strand mappings store FLAG 0x10 and the reverse-complemented
+  /// Buffers batch entry `i` (must be a verified mapping: edits[i] >= 0)
+  /// of the read named `name`, placed at chromosome `chrom`, local
+  /// position `pos`.  Every mapping of one group belongs to one read.
+  /// Reverse-strand mappings write FLAG 0x10 and the reverse-complemented
   /// sequence, the bytes the record-list writers produce.  Consumes
   /// batch.cigars[i].
-  void AddMapping(PairBatch& batch, std::size_t i);
+  void AddMapping(PairBatch& batch, std::size_t i, std::string_view name,
+                  std::int32_t chrom, std::int64_t pos);
 
   /// Scores and writes the buffered group (call when last_of_read fires);
   /// returns the number of records emitted.  A read whose candidates all
@@ -50,9 +54,7 @@ class SamGroupBuffer {
 
  private:
   struct GroupRecord {
-    std::string name;
     int flags = 0;
-    std::string seq;  // already oriented to match the flags
     std::int32_t chrom = 0;
     std::int64_t pos = 0;
     int edits = 0;
@@ -60,6 +62,10 @@ class SamGroupBuffer {
   };
 
   SamGroupOptions options_;
+  // The group's read: its name and forward sequence, set by the group's
+  // first mapping.
+  std::string name_;
+  std::string read_;
   std::vector<GroupRecord> group_;
   std::vector<int> group_edits_;
   std::string rc_scratch_;

@@ -143,6 +143,9 @@ class FastqAssembler {
   bool finished_ = false;
 };
 
+/// Reads the pipeline source takes off the shared queue per lock.
+constexpr std::size_t kBulkPop = 64;
+
 /// SAM bytes staged per session before a kSamRecords frame departs.
 constexpr std::size_t kSendThreshold = 64u << 10;
 
@@ -442,11 +445,59 @@ struct MapServer::Impl {
 
     const ReferenceSet& ref = mapper_.reference();
     pipeline::CandidateStream stream;
-    QueuedRead current;
+    // Reads taken off the shared queue in one round-trip (up to
+    // kBulkPop), seeded as one prefetched group, then handed to the
+    // packer one at a time.  `current` points into this buffer, which only
+    // a fetch refills.
+    struct LocalRead {
+      QueuedRead read;
+      std::vector<OrientedCandidate> positions;
+    };
+    std::vector<LocalRead> local(kBulkPop);
+    std::size_t local_size = 0;
+    std::size_t local_next = 0;
+    std::vector<SeedTask> seed_tasks;
+    SeedGroupScratch seed_scratch;
+    const QueuedRead* current = nullptr;
     std::uint32_t read_counter = 0;
-    std::string rc_buf;
-    std::vector<std::int64_t> seed_scratch;
     std::vector<const Session*> batch_sessions;  // distinct, per batch
+
+    // Refills `local` from the shared queue; false when the batch should
+    // depart (linger expired) or the input is closed and drained.
+    const auto linger =
+        std::chrono::milliseconds(std::max(0, config_.linger_ms));
+    const auto refill = [&](bool first_of_batch) {
+      {
+        std::unique_lock<std::mutex> lock(queue_mu_);
+        const auto ready = [&] { return !queue_.empty() || input_closed_; };
+        if (first_of_batch) {
+          // An empty batch waits as long as it takes — the daemon idles
+          // here between jobs.
+          queue_cv_.wait(lock, ready);
+        } else if (!queue_cv_.wait_for(lock, linger, ready)) {
+          // Linger expired: the partial batch departs rather than holding
+          // one client's reads hostage to another's pace.
+          return false;
+        }
+        if (queue_.empty()) return false;  // input closed
+        local_size = std::min(kBulkPop, queue_.size());
+        local_next = 0;
+        for (std::size_t t = 0; t < local_size; ++t) {
+          local[t].read = std::move(queue_.front());
+          queue_.pop_front();
+        }
+      }
+      queue_space_cv_.notify_all();
+      seed_tasks.clear();
+      for (std::size_t t = 0; t < local_size; ++t) {
+        if (local[t].read.session->dead.load(std::memory_order_acquire)) {
+          continue;  // retired when the packer reaches it
+        }
+        seed_tasks.push_back({local[t].read.seq, &local[t].positions});
+      }
+      mapper_.CollectCandidatesGroup(seed_tasks, &seed_scratch);
+      return true;
+    };
 
     const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
       batch_sessions.clear();
@@ -457,62 +508,44 @@ struct MapServer::Impl {
           [&](std::vector<OrientedCandidate>* positions)
               -> const std::string* {
             for (;;) {
-              {
-                std::unique_lock<std::mutex> lock(queue_mu_);
-                const bool first = batch->candidates.empty();
-                const auto ready = [&] {
-                  return !queue_.empty() || input_closed_;
-                };
-                if (first) {
-                  // An empty batch waits as long as it takes — the daemon
-                  // idles here between jobs.
-                  queue_cv_.wait(lock, ready);
-                } else if (!queue_cv_.wait_for(
-                               lock,
-                               std::chrono::milliseconds(
-                                   std::max(0, config_.linger_ms)),
-                               ready)) {
-                  // Linger expired: the partial batch departs rather than
-                  // holding one client's reads hostage to another's pace.
-                  return nullptr;
-                }
-                if (queue_.empty()) return nullptr;  // input closed
-                current = std::move(queue_.front());
-                queue_.pop_front();
+              if (local_next == local_size &&
+                  !refill(batch->candidates.empty())) {
+                return nullptr;
               }
-              queue_space_cv_.notify_one();
-              if (current.session->dead.load(std::memory_order_acquire)) {
-                RetireRead(current.session);
+              LocalRead& r = local[local_next++];
+              // A session that died while its read sat here (or in the
+              // queue) gets the read retired unseen.
+              if (r.read.session->dead.load(std::memory_order_acquire)) {
+                RetireRead(r.read.session);
                 continue;
               }
-              mapper_.CollectCandidatesOriented(current.seq, &rc_buf,
-                                                &seed_scratch, positions);
-              if (positions->empty()) {
+              if (r.positions.empty()) {
                 // No candidate anywhere in the genome: the read completes
                 // right here, with no SAM records.
-                RetireRead(current.session);
+                RetireRead(r.read.session);
                 continue;
               }
               {
                 std::lock_guard<std::mutex> lock(owners_mu_);
-                owners_.emplace(read_counter, current.session);
+                owners_.emplace(read_counter, r.read.session);
               }
               ++read_counter;
-              return &current.seq;
+              positions->swap(r.positions);
+              current = &r.read;
+              return &r.read.seq;
             }
           },
-          [&](const OrientedCandidate& oc, bool last) {
-            const int chrom = ref.Locate(oc.pos);
-            assert(chrom >= 0);
+          [&](const OrientedCandidate&, bool last) {
+            if (batch->read_index.empty() ||
+                batch->read_index.back() != read_counter - 1) {
+              batch->read_names.push_back(current->name);
+            }
             batch->read_index.push_back(read_counter - 1);
-            batch->read_names.push_back(current.name);
-            batch->ref_chrom.push_back(chrom);
-            batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
             batch->last_of_read.push_back(last ? 1 : 0);
             // Distinct-session tracking lives in emit, not fetch, so a
             // read carried over from the previous batch still counts
             // toward this batch's coalescing.
-            const Session* cur = current.session.get();
+            const Session* cur = current->session.get();
             if (batch_sessions.empty() || batch_sessions.back() != cur) {
               bool seen = false;
               for (const Session* p : batch_sessions) {
@@ -546,13 +579,19 @@ struct MapServer::Impl {
       return sink_session;
     };
     const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
+      std::size_t name = 0;  // read_names slot of pair i's read
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const std::uint32_t read = batch.read_index[i];
+        if (i > 0 && read != batch.read_index[i - 1]) ++name;
         if (batch.edits[i] >= 0) {
           const SessionPtr s = owner_of(read);
           if (!s->dead.load(std::memory_order_acquire)) {
+            const std::int64_t pos = batch.candidates[i].ref_pos;
+            const int chrom = ref.Locate(pos);
+            assert(chrom >= 0);  // seeding only emits in-chromosome windows
             std::lock_guard<std::mutex> lock(s->out_mu);
-            s->groups->AddMapping(batch, i);
+            s->groups->AddMapping(batch, i, batch.read_names[name], chrom,
+                                  ref.ToLocal(chrom, pos));
           }
         }
         if (batch.last_of_read[i] != 0) {

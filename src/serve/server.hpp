@@ -6,7 +6,8 @@
 // spawns one session thread per connection; sessions parse frames,
 // reassemble FASTQ records, and push reads into one shared bounded queue.
 // A single long-lived candidate-mode StreamingPipeline drains that queue:
-// its source seeds reads and packs batches *across sessions* — the
+// its source takes every queued read (up to 64) per lock, seeds them as
+// one prefetched group, and packs batches *across sessions* — the
 // cross-request coalescer.  The first read of a batch blocks until work
 // arrives; subsequent reads wait at most `linger` for stragglers, so a
 // lone client's batch departs promptly while concurrent clients share

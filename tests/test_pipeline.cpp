@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "align/banded.hpp"
+#include "align/cigar.hpp"
 #include "encode/revcomp.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/candidate_packer.hpp"
@@ -389,11 +391,14 @@ PipelineStats RunCandidateStream(GateKeeperGpuEngine* engine,
                                  const CandidateWorkload& w,
                                  std::size_t chunk,
                                  std::vector<PairResult>* results,
-                                 std::vector<int>* edits = nullptr) {
+                                 std::vector<int>* edits = nullptr,
+                                 std::vector<std::string>* cigars = nullptr) {
   cfg.reference_text = w.genome;
+  cfg.emit_cigar = cigars != nullptr;
   StreamingPipeline pipe(engine, cfg);
   results->assign(w.candidates.size(), PairResult{});
   if (edits != nullptr) edits->assign(w.candidates.size(), -1);
+  if (cigars != nullptr) cigars->assign(w.candidates.size(), {});
   std::size_t offset = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
     if (offset >= w.candidates.size()) return false;
@@ -417,6 +422,9 @@ PipelineStats RunCandidateStream(GateKeeperGpuEngine* engine,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       (*results)[batch.first_pair + i] = batch.results[i];
       if (edits != nullptr) (*edits)[batch.first_pair + i] = batch.edits[i];
+      if (cigars != nullptr) {
+        (*cigars)[batch.first_pair + i] = std::move(batch.cigars[i]);
+      }
     }
   };
   return pipe.Run(source, sink);
@@ -676,6 +684,82 @@ TEST(CandidateStreamingTest, WithoutEngineEveryCandidateIsVerified) {
   no_threshold.reference_text = w.genome;
   EXPECT_THROW(StreamingPipeline(nullptr, no_threshold),
                std::invalid_argument);
+}
+
+TEST(CandidateStreamingTest, VerifyEditsAndCigarsMatchTheReferenceAligners) {
+  // The verify workers run the fused kernel on eligible candidates and
+  // the per-pair aligners on the rest; either way every edit distance is
+  // BandedEditDistance and every CIGAR is BandedAlign's at the confirmed
+  // distance, whatever the worker count or batch size.  The suite runs
+  // once per dispatch tier (GKGPU_NO_AVX512 / GKGPU_NO_AVX2), which pins
+  // the kernel's tiers too.
+  CandidateWorkload w = MakeCandidateWorkload(150, 21);
+  // Reference-only bytes in the windows: 'N' runs and soft-masked bases.
+  Rng rng(22);
+  for (int e = 0; e < 400; ++e) {
+    char& c = w.genome[rng.Uniform(w.genome.size())];
+    c = e % 2 == 0 ? 'N' : static_cast<char>(c - 'A' + 'a');
+  }
+  // Both strands of every read, plus reads the kernel cannot take: an
+  // 'N' in the read, a read over 128 bp, and a short read (a length
+  // change inside a lane group).
+  const std::size_t forward = w.candidates.size();
+  for (std::size_t i = 0; i < forward; ++i) {
+    CandidatePair c = w.candidates[i];
+    c.strand = 1;
+    w.candidates.push_back(c);
+  }
+  const auto add_read = [&](std::string read, std::int64_t pos,
+                            std::uint8_t strand) {
+    w.reads.push_back(std::move(read));
+    w.candidates.push_back(
+        {static_cast<std::uint32_t>(w.reads.size() - 1), strand, 0, pos});
+  };
+  std::string with_n = w.genome.substr(1000, 100);
+  for (char& c : with_n) c = static_cast<char>(std::toupper(c));
+  with_n[50] = 'N';
+  add_read(with_n, 1000, 0);
+  add_read(with_n, 1001, 0);
+  add_read(w.genome.substr(2000, 150), 2000, 0);
+  add_read(ReverseComplement(w.genome.substr(3000, 40)), 3000, 1);
+  add_read(w.genome.substr(4000, 100), 4000, 0);
+  for (std::string& r : w.reads) {
+    for (char& c : r) {
+      if (c >= 'a') c = static_cast<char>(c - 'a' + 'A');
+    }
+  }
+
+  std::vector<int> want_edits;
+  std::vector<std::string> want_cigars;
+  std::size_t confirmed = 0;
+  for (const CandidatePair& c : w.candidates) {
+    const std::string& read = w.reads[c.read_index];
+    const std::string oriented =
+        c.strand != 0 ? ReverseComplement(read) : read;
+    const std::string_view window(w.genome.data() + c.ref_pos, read.size());
+    const int d = BandedEditDistance(oriented, window, 5);
+    want_edits.push_back(d);
+    want_cigars.emplace_back();
+    if (d >= 0) want_cigars.back() = BandedAlign(oriented, window, d).cigar;
+    confirmed += d >= 0 ? 1 : 0;
+  }
+  ASSERT_GT(confirmed, 100u);
+  ASSERT_LT(confirmed, want_edits.size());
+
+  for (const int workers : {1, 2, 4}) {
+    for (const std::size_t chunk : {std::size_t{61}, std::size_t{1000}}) {
+      PipelineConfig cfg;
+      cfg.batch_size = 1024;
+      cfg.verify_workers = workers;
+      cfg.verify_threshold = 5;
+      std::vector<PairResult> results;
+      std::vector<int> edits;
+      std::vector<std::string> cigars;
+      RunCandidateStream(nullptr, cfg, w, chunk, &results, &edits, &cigars);
+      EXPECT_EQ(edits, want_edits) << workers << " workers, chunk " << chunk;
+      EXPECT_EQ(cigars, want_cigars) << workers << " workers, chunk " << chunk;
+    }
+  }
 }
 
 TEST(CandidateStreamingTest, CandidateBatchInPairModeIsRejected) {

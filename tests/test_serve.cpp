@@ -310,6 +310,46 @@ TEST_F(ServeTest, MalformedFastqFailsOnlyThatSession) {
   EXPECT_EQ(stats.sessions_completed, 1u);
 }
 
+TEST_F(ServeTest, SessionDyingWithReadsInTheSourceBufferIsRetired) {
+  // A session admits many reads at once, then fails on garbage: its reads
+  // are still queued or sitting in the pipeline source's local buffer
+  // (the source takes up to 64 queued reads per lock) when it dies.  They
+  // are retired unseen, a concurrent healthy session is untouched, and
+  // shutdown still drains.
+  const auto doomed = SimulateReadSequences(ref_.text(), 600, kReadLength,
+                                            ReadErrorProfile::Illumina(), 14);
+  const auto good = SimulateReadSequences(ref_.text(), 300, kReadLength,
+                                          ReadErrorProfile::Illumina(), 15);
+  const std::string good_text = MakeFastq("ok", good);
+  const std::string golden = Golden(good_text);
+
+  serve::ServeConfig scfg = BaseConfig();
+  scfg.linger_ms = 20;
+  std::string served;
+  const serve::ServeStats stats =
+      WithServer(scfg, [&](const std::string& socket) {
+        std::thread healthy([&] {
+          std::istringstream fastq(good_text);
+          std::ostringstream sam;
+          serve::MapOverSocket(socket, fastq, sam);
+          served = sam.str();
+        });
+        const int fd = ConnectRaw(socket);
+        SendRaw(fd, FrameBytes(serve::FrameType::kJob, ""));
+        SendRaw(fd, FrameBytes(serve::FrameType::kData,
+                               MakeFastq("doomed", doomed)));
+        SendRaw(fd, FrameBytes(serve::FrameType::kData, "not FASTQ\n"));
+        const serve::Frame last = DrainToTerminal(fd);
+        EXPECT_EQ(last.type, serve::FrameType::kError);
+        ::close(fd);
+        healthy.join();
+      });
+  EXPECT_EQ(served, golden);
+  EXPECT_EQ(stats.sessions_failed, 1u);
+  EXPECT_EQ(stats.sessions_completed, 1u);
+  EXPECT_EQ(stats.reads, 900u);
+}
+
 TEST_F(ServeTest, SlowMidFramePauseOutlivesTheReceiveTick) {
   // A client that pauses *inside* a kData frame for longer than the idle
   // timeout is still making progress on that frame — the receive-timeout
